@@ -661,13 +661,15 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
     let (queue, web) = (config.queue_capacity, config.web);
     let server = rebert_serve::serve_registry(registry, listener, config)?;
     // Printed before the blocking drain loop so callers (and the CI
-    // smoke test) can tell the daemon is up.
-    println!(
+    // smoke test) can tell the daemon is up. The banner is only that
+    // notice, so a reader that closed stdout does not stop the daemon:
+    // a failed write is ignored.
+    let _ = crate::io::write_line(&format_args!(
         "rebert-serve listening on {} (queue {queue})",
         server.addr()
-    );
+    ));
     if web {
-        println!("dashboard at http://{}/", server.addr());
+        let _ = crate::io::write_line(&format_args!("dashboard at http://{}/", server.addr()));
     }
     rebert_serve::run_until_shutdown(server);
     Ok("drained in-flight work, shut down cleanly".to_owned())
@@ -791,8 +793,10 @@ fn cmd_submit(args: &Args) -> Result<String, CliError> {
     let opts = submit_options(args, Some(format))?;
     let reply = if args.flag("stream") {
         rebert_serve::submit_stream(addr, &text, &opts, |record| {
+            // Progress lines are best-effort: if the reader has closed
+            // stdout, the final print still reports the verdict.
             if let Some(line) = render_stream_record(record) {
-                println!("{line}");
+                let _ = crate::io::write_line(&line);
             }
         })
     } else {

@@ -1,6 +1,6 @@
-//! Netlist and label file I/O for the CLI: format detection by
-//! extension, the lint check on every netlist read, label JSON
-//! round-trips.
+//! File and stdout I/O for the CLI: format detection by extension, the
+//! lint check on every netlist read, label JSON round-trips, and stdout
+//! writes that survive a reader closing the pipe.
 
 use std::fmt;
 use std::path::Path;
@@ -40,6 +40,35 @@ impl std::error::Error for IoError {}
 impl From<std::io::Error> for IoError {
     fn from(e: std::io::Error) -> Self {
         IoError::Fs(e)
+    }
+}
+
+/// Writes `text` and a newline through a locked stdout.
+///
+/// # Errors
+///
+/// The write error, e.g. `BrokenPipe` once the reader has closed the
+/// pipe.
+pub fn write_line(text: &dyn fmt::Display) -> std::io::Result<()> {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "{text}")?;
+    out.flush()
+}
+
+/// Prints a command's output. A reader that closed the pipe early
+/// (`rebert recover … | head -2`) has read all it wants, so a broken
+/// pipe ends the process quietly with `code`, the verdict the command
+/// already reached; any other write error ends it with a message and
+/// exit 1. (`println!` panics on both.)
+pub fn print_output(text: &dyn fmt::Display, code: i32) {
+    match write_line(text) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(code),
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
     }
 }
 

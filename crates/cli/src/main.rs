@@ -18,14 +18,14 @@ fn main() {
         }
     };
     match commands::run(&parsed) {
-        Ok(out) => println!("{out}"),
+        Ok(out) => io::print_output(&out, 0),
         Err(e) => {
             // A failed lint, or a netlist a verb refused for lint errors,
             // still prints its report to stdout (scripts parse it,
             // especially with --json); only the exit code carries the
             // verdict. Everything else is a plain error.
             if let Some(lint) = e.downcast_ref::<commands::LintFailure>() {
-                println!("{lint}");
+                io::print_output(lint, 1);
             } else {
                 eprintln!("error: {e}");
             }

@@ -8,10 +8,11 @@
 //! model code.
 //!
 //! The scalar backend is the default and stays bit-identical to the
-//! autograd tape (every op delegates to the same blocked scalar kernels
-//! the tape uses). The SIMD and int8 backends trade bitwise identity
-//! for speed; their outputs are close enough that downstream clustering
-//! is unaffected (tolerance-checked here, ARI-gated in CI).
+//! autograd tape: every op delegates to the same reference kernels the
+//! tape uses, whose products run 8 lanes wide on AVX2 hosts with the
+//! portable loops' bits. The SIMD and int8 backends trade bitwise
+//! identity for speed; their outputs are close enough that downstream
+//! clustering is unaffected (tolerance-checked here, ARI-gated in CI).
 //!
 //! A requested backend always *resolves* rather than failing: SIMD on a
 //! host without SIMD kernels degrades to scalar, int8 without a built
@@ -28,8 +29,10 @@ use crate::quant::QuantStore;
 /// Inference execution strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// Blocked scalar f32 kernels — the bitwise reference path and the
-    /// default everywhere.
+    /// The reference f32 arithmetic — one rounding per multiply and one
+    /// per add, ascending `k`, no FMA — run 8 lanes wide when the host
+    /// has AVX2 and by the portable loops otherwise, with the same bits
+    /// either way. The bitwise reference path and the default everywhere.
     #[default]
     F32Scalar,
     /// Runtime-dispatched SIMD f32 kernels (AVX2+FMA or NEON); falls
@@ -109,9 +112,10 @@ pub struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// The bitwise-reference engine: scalar kernels, f32 weights. This is
-    /// what [`crate::BertClassifier::infer_logit`] uses, keeping the
-    /// historical "tape-free == taped, bit for bit" contract.
+    /// The bitwise-reference engine: the reference kernels (8 lanes wide
+    /// on AVX2 hosts, the same bits as the portable loops), f32 weights.
+    /// This is what [`crate::BertClassifier::infer_logit`] uses, keeping
+    /// the historical "tape-free == taped, bit for bit" contract.
     pub fn scalar(store: &'a ParamStore) -> Self {
         Engine {
             store,
@@ -197,24 +201,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Attention scores `out = q @ k^T`.
-    ///
-    /// The scalar path transposes `k` into the caller's scratch and runs
-    /// the plain matmul — the exact op sequence the bitwise tests pin.
-    /// SIMD paths use the fused `matmul_nt` kernel, which reads both
-    /// operands at unit stride and skips materializing `kt` entirely.
-    pub(crate) fn attn_scores_into(
-        &self,
-        q: &Tensor,
-        k: &Tensor,
-        kt: &mut Tensor,
-        out: &mut Tensor,
-    ) {
-        if self.level == SimdLevel::Scalar {
-            k.transpose_into(kt);
-            q.matmul_into(kt, out);
-        } else {
-            kernels::matmul_nt_into(self.level, q, k, out);
-        }
+    pub(crate) fn attn_scores_into(&self, q: &Tensor, k: &Tensor, out: &mut Tensor) {
+        kernels::matmul_nt_into(self.level, q, k, out);
     }
 
     /// GELU elementwise in place.

@@ -61,9 +61,6 @@ pub struct InferScratch {
     qh: Tensor,
     kh: Tensor,
     vh: Tensor,
-    /// The transposed key head (`d_head × seq`), so the score matmul runs
-    /// on the vectorized blocked kernel instead of serial dot products.
-    kt: Tensor,
     /// Attention scores / probabilities (`seq × seq`).
     scores: Tensor,
     /// One head's context (`seq × d_head`).
@@ -172,11 +169,9 @@ impl EncoderLayer {
             s.q.col_slice_into(start, d_head, &mut s.qh);
             s.k.col_slice_into(start, d_head, &mut s.kh);
             s.v.col_slice_into(start, d_head, &mut s.vh);
-            // Q @ K^T. The scalar engine transposes into s.kt and runs
-            // the blocked matmul (ascending-k accumulation, bit-identical
-            // to the taped `matmul_nt`); SIMD engines fuse the transpose
-            // into the `matmul_nt` kernel and never touch s.kt.
-            engine.attn_scores_into(&s.qh, &s.kh, &mut s.kt, &mut s.scores);
+            // Q @ K^T: on the scalar engine the same `matmul_nt` the tape
+            // runs, so the scores match the taped pass bit for bit.
+            engine.attn_scores_into(&s.qh, &s.kh, &mut s.scores);
             s.scores.scale_assign(scale);
             engine.softmax_rows_inplace(&mut s.scores);
             engine.matmul_into(&s.scores, &s.vh, &mut s.ctx);

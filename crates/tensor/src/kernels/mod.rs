@@ -1,16 +1,23 @@
 //! Runtime-dispatched compute kernels for the inference hot path.
 //!
-//! The blocked scalar kernels on [`Tensor`] are the *reference*
-//! implementations: deterministic, portable, and bit-identical to the
-//! naive triple loop (the autograd tape and every bitwise regression
-//! test pin them). This module layers faster, non-bit-identical paths
-//! on top, selected at **runtime**:
+//! The three products on [`Tensor`] (`matmul_into`, `matmul_nt_into`,
+//! `matmul_tn`) are the *reference* arithmetic: each output element
+//! starts at `+0.0` and adds its terms in ascending `k`, one rounding
+//! per multiply and one per add, never fused. The autograd tape and
+//! every bitwise regression test pin it. Where AVX2 is present they run
+//! it 8 output lanes at a time (`_mm256_add_ps(acc, _mm256_mul_ps(a, b))`
+//! under `avx2` alone); elsewhere, and under Miri, they run the portable
+//! loops in [`portable`]. Both give the same bits, so the reference path
+//! is fast on AVX2 hosts without being any less the reference.
+//!
+//! On top of it this module layers faster, non-bit-identical paths,
+//! selected at **runtime**:
 //!
 //! - [`SimdLevel::Avx2`] — AVX2 + FMA kernels on `x86_64`, used only
 //!   when [`is_x86_feature_detected!`] confirms both features;
 //! - [`SimdLevel::Neon`] — NEON kernels on `aarch64`, where NEON is part
 //!   of the baseline ISA;
-//! - [`SimdLevel::Scalar`] — the blocked scalar kernels, always
+//! - [`SimdLevel::Scalar`] — the reference arithmetic above, always
 //!   available and the fallback everywhere else.
 //!
 //! Every dispatch function takes an explicit [`SimdLevel`] so callers
@@ -23,23 +30,31 @@
 //! backend: weights are `i8` with one `f32` scale per row and the
 //! accumulation stays in `f32`, so `out[i][j] = Σ_k (x[i][k]·s[k])·q[k][j]`.
 //!
-//! SIMD results are *not* bit-identical to scalar results (FMA contracts
-//! the multiply-add rounding, reductions are lane-parallel, and `exp` is
-//! a polynomial), but they stay within tight ULP bounds — see the
-//! `kernel_parity` property tests.
+//! The `Avx2` and `Neon` results are *not* bit-identical to the
+//! reference (FMA contracts the multiply-add rounding, reductions are
+//! lane-parallel, and `exp` is a polynomial), but they stay within
+//! tight ULP bounds — see the `kernel_parity` property tests.
+
+use std::cell::Cell;
 
 use crate::tape::{gelu, row_mean_var};
 use crate::tensor::Tensor;
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 mod avx2;
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+mod exact;
 #[cfg(all(target_arch = "aarch64", not(miri)))]
 mod neon;
+pub mod portable;
 
 /// Instruction-set level used by the dispatched kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimdLevel {
-    /// Portable blocked scalar kernels — the bitwise reference path.
+    /// The reference arithmetic — the bitwise reference path: the
+    /// [`Tensor`] products (8 lanes wide on AVX2 hosts, the portable
+    /// loops elsewhere, the same bits either way) and the plain scalar
+    /// row-wise ops.
     #[default]
     Scalar,
     /// AVX2 + FMA (`x86_64`, runtime-detected).
@@ -59,22 +74,75 @@ impl SimdLevel {
     }
 }
 
-/// Cached runtime check for AVX2 + FMA. Always `false` off `x86_64` and
-/// under Miri (which does not model vendor intrinsics).
+/// Whether the host has AVX2, all the reference products' 8-lane
+/// bodies need. `std` detects the feature once and caches it. Off
+/// `x86_64` and under Miri (which does not model vendor intrinsics) the
+/// 8-lane bodies never run.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+fn has_avx2() -> bool {
+    std::arch::is_x86_feature_detected!("avx2")
+}
+
+/// Whether the host has AVX2 + FMA, which [`SimdLevel::Avx2`] needs.
+/// Always `false` off `x86_64` and under Miri.
 fn avx2_ok() -> bool {
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
-        use std::sync::OnceLock;
-        static OK: OnceLock<bool> = OnceLock::new();
-        *OK.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-        })
+        has_avx2() && std::arch::is_x86_feature_detected!("fma")
     }
     #[cfg(not(all(target_arch = "x86_64", not(miri))))]
     {
         false
     }
+}
+
+/// `out = a @ b` in the reference arithmetic: the body of
+/// [`Tensor::matmul_into`].
+pub(crate) fn reference_matmul(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+    assert_matmul_shapes(a, b);
+    out.resize(a.rows(), b.cols());
+    let (m, kdim, n) = (a.rows(), a.cols(), b.cols());
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if has_avx2() {
+        // SAFETY: AVX2 confirmed by `has_avx2`; each slice is a tensor's
+        // own `rows × cols` data.
+        unsafe { exact::matmul(a.data(), b.data(), out.data_mut(), m, kdim, n) };
+        return;
+    }
+    portable::matmul(a.data(), b.data(), out.data_mut(), m, kdim, n);
+}
+
+/// `out = a @ bᵀ` in the reference arithmetic: the body of
+/// [`Tensor::matmul_nt_into`]. `b` is transposed into a per-thread
+/// buffer and the product runs through [`reference_matmul`], so each
+/// output accumulates in ascending `k` exactly as `a @ bᵀ` would.
+pub(crate) fn reference_matmul_nt(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+    assert_matmul_nt_shapes(a, b);
+    thread_local! {
+        /// `bᵀ`, kept per thread so a warm call allocates nothing.
+        static BT: Cell<Tensor> = Cell::new(Tensor::default());
+    }
+    let mut bt = BT.take();
+    b.transpose_into(&mut bt);
+    reference_matmul(a, &bt, out);
+    BT.set(bt);
+}
+
+/// `aᵀ @ b` in the reference arithmetic, skipping every term whose `a`
+/// entry is `±0.0`: the body of [`Tensor::matmul_tn`].
+pub(crate) fn reference_matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
+    assert_matmul_tn_shapes(a, b);
+    let (kdim, m, n) = (a.rows(), a.cols(), b.cols());
+    let mut out = Tensor::zeros(m, n);
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if has_avx2() {
+        // SAFETY: AVX2 confirmed by `has_avx2`; each slice is a tensor's
+        // own `rows × cols` data.
+        unsafe { exact::matmul_tn(a.data(), b.data(), out.data_mut(), kdim, m, n) };
+        return out;
+    }
+    portable::matmul_tn_acc(a.data(), b.data(), out.data_mut(), kdim, m, n);
+    out
 }
 
 /// The best kernel level this host supports, detected once and cached.
@@ -319,7 +387,19 @@ fn assert_matmul_nt_shapes(a: &Tensor, b: &Tensor) {
     );
 }
 
-/// Portable int8 kernel, blocked like [`Tensor::matmul_into`] with the
+fn assert_matmul_tn_shapes(a: &Tensor, b: &Tensor) {
+    assert_eq!(
+        a.rows(),
+        b.rows(),
+        "matmul_tn shape mismatch: ({}x{})^T @ {}x{}",
+        a.rows(),
+        a.cols(),
+        b.rows(),
+        b.cols()
+    );
+}
+
+/// Portable int8 kernel, blocked like [`portable::matmul_into`] with the
 /// dequantization fused into the broadcast of the left operand.
 fn scalar_matmul_q8(
     a: &[f32],

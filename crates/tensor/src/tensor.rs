@@ -147,9 +147,9 @@ impl Tensor {
 
     /// Matrix product `self @ other`.
     ///
-    /// Backed by the register-blocked kernel of [`Tensor::matmul_into`];
-    /// accumulation per output element stays sequential in `k`, so results
-    /// are deterministic and independent of the blocking factors.
+    /// Backed by [`Tensor::matmul_into`]: each output element
+    /// accumulates sequentially in `k`, so results are deterministic and
+    /// independent of blocking and of the host's vector width.
     ///
     /// # Panics
     ///
@@ -164,85 +164,24 @@ impl Tensor {
     /// needed, reusing its allocation). The hot path of the inference
     /// engine: no per-call allocation once `out`'s capacity is warm.
     ///
-    /// The kernel processes `MR × NR` output tiles with the full `k`
-    /// reduction kept innermost per tile, so each output element
-    /// accumulates in plain ascending-`k` order (bit-identical to the
-    /// naive triple loop) while the compiler holds the tile in registers.
+    /// This is the reference arithmetic (see [`crate::kernels`]): each
+    /// output element starts at `+0.0` and adds `a[i][k] * b[k][j]` in
+    /// ascending `k`, one rounding per multiply and one per add, so it
+    /// is bit-identical to the naive triple loop. AVX2 hosts run it in
+    /// register tiles 8 output lanes wide; others run the portable
+    /// blocked loop ([`crate::kernels::portable::matmul_into`]).
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != other.rows()`.
     pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape mismatch: {}x{} @ {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        out.resize(self.rows, other.cols);
-        const MR: usize = 2;
-        const NR: usize = 16;
-        let (m, kdim, n) = (self.rows, self.cols, other.cols);
-        let a = &self.data;
-        let b = &other.data;
-        let o = &mut out.data;
-        let mut i = 0;
-        while i < m {
-            let ib = MR.min(m - i);
-            let mut j = 0;
-            // Full tiles: every loop bound is a constant, so the `MR × NR`
-            // accumulator lives in vector registers.
-            if ib == MR {
-                while j + NR <= n {
-                    let mut acc = [[0.0f32; NR]; MR];
-                    for k in 0..kdim {
-                        let b_row: &[f32; NR] =
-                            b[k * n + j..k * n + j + NR].try_into().expect("NR slice");
-                        for (r, acc_r) in acc.iter_mut().enumerate() {
-                            let a_ik = a[(i + r) * kdim + k];
-                            for (acc_rc, &bv) in acc_r.iter_mut().zip(b_row) {
-                                *acc_rc += a_ik * bv;
-                            }
-                        }
-                    }
-                    for (r, acc_r) in acc.iter().enumerate() {
-                        let row = i + r;
-                        o[row * n + j..row * n + j + NR].copy_from_slice(acc_r);
-                    }
-                    j += NR;
-                }
-            }
-            // Edge tiles (right fringe and short bottom rows).
-            while j < n {
-                let jb = NR.min(n - j);
-                let mut acc = [[0.0f32; NR]; MR];
-                for k in 0..kdim {
-                    let b_row = &b[k * n + j..k * n + j + jb];
-                    for (r, acc_r) in acc.iter_mut().enumerate().take(ib) {
-                        let a_ik = a[(i + r) * kdim + k];
-                        for (c, &bv) in b_row.iter().enumerate() {
-                            acc_r[c] += a_ik * bv;
-                        }
-                    }
-                }
-                for (r, acc_r) in acc.iter().enumerate().take(ib) {
-                    let row = i + r;
-                    o[row * n + j..row * n + j + jb].copy_from_slice(&acc_r[..jb]);
-                }
-                j += jb;
-            }
-            i += MR;
-        }
+        crate::kernels::reference_matmul(self, other, out);
     }
 
     /// Matrix product `self @ other^T`.
     ///
-    /// Backed by the direct dot-product kernel
-    /// [`Tensor::matmul_nt_into`]: both operands are traversed row-wise
-    /// with no transpose materialized, so the wrapper allocates only the
-    /// output. Each dot product accumulates in ascending-`k` order,
-    /// bit-identical to the naive kernel (and to the historical
-    /// transpose-then-matmul formulation, which kept the same
-    /// accumulation order).
+    /// Backed by [`Tensor::matmul_nt_into`], so the wrapper allocates
+    /// only the output.
     ///
     /// # Panics
     ///
@@ -256,82 +195,31 @@ impl Tensor {
     /// Matrix product `self @ other^T` written into `out` (resized as
     /// needed, reusing its allocation).
     ///
-    /// Both operands are traversed row-wise (unit stride), and output
-    /// tiles of `MR × NR` dot products share each loaded operand row
-    /// across the tile. Each dot product uses a single accumulator in
-    /// ascending-`k` order, matching the naive kernel bit-for-bit.
+    /// Computed as `self.matmul(&other.transpose())`, with `other`
+    /// transposed into a per-thread buffer so a warm call allocates
+    /// nothing: each output accumulates in ascending `k` from `+0.0` on
+    /// the [`Tensor::matmul_into`] kernel.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != other.cols()`.
     pub fn matmul_nt_into(&self, other: &Tensor, out: &mut Tensor) {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_nt shape mismatch: {}x{} @ ({}x{})^T",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        out.resize(self.rows, other.rows);
-        const MR: usize = 4;
-        const NR: usize = 4;
-        let (m, kdim, n) = (self.rows, self.cols, other.rows);
-        let a = &self.data;
-        let b = &other.data;
-        let o = &mut out.data;
-        let mut i = 0;
-        while i < m {
-            let ib = MR.min(m - i);
-            let mut j = 0;
-            while j < n {
-                let jb = NR.min(n - j);
-                let mut acc = [[0.0f32; NR]; MR];
-                for (r, acc_r) in acc.iter_mut().enumerate().take(ib) {
-                    let a_row = &a[(i + r) * kdim..(i + r + 1) * kdim];
-                    for (c, acc_rc) in acc_r.iter_mut().enumerate().take(jb) {
-                        let b_row = &b[(j + c) * kdim..(j + c + 1) * kdim];
-                        let mut sum = 0.0f32;
-                        for (&av, &bv) in a_row.iter().zip(b_row) {
-                            sum += av * bv;
-                        }
-                        *acc_rc = sum;
-                    }
-                }
-                for (r, acc_r) in acc.iter().enumerate().take(ib) {
-                    let row = i + r;
-                    o[row * n + j..row * n + j + jb].copy_from_slice(&acc_r[..jb]);
-                }
-                j += jb;
-            }
-            i += MR;
-        }
+        crate::kernels::reference_matmul_nt(self, other, out);
     }
 
     /// Matrix product `self^T @ other` without materializing the transpose.
+    ///
+    /// Each output element accumulates in ascending `k` from `+0.0`,
+    /// skipping every term whose `self` entry is `±0.0` (so an infinite
+    /// `other` entry behind a zero contributes nothing). AVX2 hosts run
+    /// it 8 output lanes wide, others the portable loop
+    /// ([`crate::kernels::portable::matmul_tn`]), with the same bits.
     ///
     /// # Panics
     ///
     /// Panics if `self.rows() != other.rows()`.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.rows, other.rows,
-            "matmul_tn shape mismatch: ({}x{})^T @ {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Tensor::zeros(self.cols, other.cols);
-        let n = other.cols;
-        for k in 0..self.rows {
-            let a_row = self.row(k);
-            let b_row = other.row(k);
-            for (i, &a_ki) in a_row.iter().enumerate() {
-                if a_ki == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[i * n..(i + 1) * n];
-                for j in 0..n {
-                    out_row[j] += a_ki * b_row[j];
-                }
-            }
-        }
-        out
+        crate::kernels::reference_matmul_tn(self, other)
     }
 
     /// The transpose.
@@ -752,8 +640,7 @@ mod tests {
                 matmul_naive(&a, &b.transpose()),
                 "{m}x{k} @ ({n}x{k})^T"
             );
-            // The scratch-friendly dot-product kernel agrees bitwise with
-            // the transpose-and-block path.
+            // The `_into` form agrees bitwise with the allocating one.
             let mut out = Tensor::zeros(0, 0);
             a.matmul_nt_into(&b, &mut out);
             assert_eq!(out, a.matmul_nt(&b), "nt_into vs nt {m}x{k}x{n}");
