@@ -134,6 +134,11 @@ impl BertEncoder {
 
 /// BERT's pooler: a linear + Tanh applied to the **first token's** hidden
 /// state, producing a fixed-size sequence representation.
+///
+/// The taped [`Pooler::forward`] slices that row out of the full
+/// `seq × d_model` encoding. The tape-free path needs no slice:
+/// [`BertEncoder::infer_with`] leaves only that row, and the pooler's
+/// dense layer reads it in place.
 #[derive(Debug, Clone)]
 pub struct Pooler {
     pub(crate) dense: Linear,

@@ -15,6 +15,16 @@
 //! layer-norm statistics, the same activation functions in the same
 //! order — so taped and tape-free logits agree bit-for-bit (verified by
 //! this module's tests and the `rebert` crate's property tests).
+//!
+//! It also skips what the pooler never reads. The pooler takes only the
+//! first token's final hidden state, so the last encoder layer projects
+//! keys and values from every token but carries only the first token's
+//! row through the queries, the attention output, both Add & Norms and
+//! the feed-forward block. Every kernel computes each output row on its
+//! own (a product element reads only its own row and column; softmax and
+//! layer norm work row by row; GELU works element by element), so that
+//! row gets the same bits as in an all-rows pass on every backend. This
+//! module's tests pin it against an all-rows oracle on all three.
 
 use rebert_tensor::Tensor;
 
@@ -28,7 +38,10 @@ use crate::param::ParamStore;
 /// One scratch per thread: it is cheap to create but worth keeping warm —
 /// after the first pass every buffer reuses its allocation. The input
 /// activation is written through [`InferScratch::input_mut`] and consumed
-/// by [`BertClassifier::infer_logit`].
+/// by [`BertClassifier::infer_logit`]. The encoder leaves only the first
+/// token's row of it (`1 × d_model`); the next [`InferScratch::input_mut`]
+/// grows it back inside the capacity it already has, so a warm scratch
+/// still allocates nothing.
 ///
 /// # Examples
 ///
@@ -51,9 +64,11 @@ use crate::param::ParamStore;
 /// ```
 #[derive(Debug, Default)]
 pub struct InferScratch {
-    /// The main `seq × d_model` activation (input, then residual stream).
+    /// The main activation: the `seq × d_model` input, then the residual
+    /// stream, which the last layer cuts to its first row (`1 × d_model`).
     x: Tensor,
-    /// Q/K/V projections.
+    /// Q/K/V projections (`rows × d_model` for Q, `seq × d_model` for K
+    /// and V, where `rows` is `seq`, or 1 in the last layer).
     q: Tensor,
     k: Tensor,
     v: Tensor,
@@ -61,20 +76,19 @@ pub struct InferScratch {
     qh: Tensor,
     kh: Tensor,
     vh: Tensor,
-    /// Attention scores / probabilities (`seq × seq`).
+    /// Attention scores / probabilities (`rows × seq`).
     scores: Tensor,
-    /// One head's context (`seq × d_head`).
+    /// One head's context (`rows × d_head`).
     ctx: Tensor,
-    /// Concatenated head contexts (`seq × d_model`).
+    /// Concatenated head contexts (`rows × d_model`).
     concat: Tensor,
     /// Attention block output.
     attn_out: Tensor,
-    /// Feed-forward inner activation (`seq × d_ff`).
+    /// Feed-forward inner activation (`rows × d_ff`).
     ff_inner: Tensor,
-    /// Feed-forward output (`seq × d_model`).
+    /// Feed-forward output (`rows × d_model`).
     ff_out: Tensor,
-    /// Pooler buffers (`1 × d_model`).
-    pooled_in: Tensor,
+    /// Pooler output (`1 × d_model`).
     pooled: Tensor,
     /// The classification logit (`1 × 1`).
     logit: Tensor,
@@ -154,16 +168,20 @@ impl Embedding {
 }
 
 impl EncoderLayer {
-    /// Backend-routed layer application: updates `s.x` in place.
-    fn infer(&self, engine: &Engine<'_>, s: &mut InferScratch) {
+    /// Backend-routed layer application over the residual stream in
+    /// `s.x`. Keys and values come from every row; the queries and
+    /// everything after them from the first `rows` rows only, so `s.x`
+    /// ends as `rows × d_model`.
+    fn infer(&self, engine: &Engine<'_>, s: &mut InferScratch, rows: usize) {
         // Multi-head attention into s.attn_out.
-        engine.linear_into(&self.attn.wq, &s.x, &mut s.q);
         engine.linear_into(&self.attn.wk, &s.x, &mut s.k);
         engine.linear_into(&self.attn.wv, &s.x, &mut s.v);
-        let seq = s.x.rows();
+        // Keeps the first `rows` rows and the allocation.
+        s.x.resize(rows, self.attn.d_model);
+        engine.linear_into(&self.attn.wq, &s.x, &mut s.q);
         let d_head = self.attn.d_model / self.attn.n_heads;
         let scale = 1.0 / (d_head as f32).sqrt();
-        s.concat.resize(seq, self.attn.d_model);
+        s.concat.resize(rows, self.attn.d_model);
         for h in 0..self.attn.n_heads {
             let start = h * d_head;
             s.q.col_slice_into(start, d_head, &mut s.qh);
@@ -175,7 +193,7 @@ impl EncoderLayer {
             s.scores.scale_assign(scale);
             engine.softmax_rows_inplace(&mut s.scores);
             engine.matmul_into(&s.scores, &s.vh, &mut s.ctx);
-            for i in 0..seq {
+            for i in 0..rows {
                 s.concat.row_mut(i)[start..start + d_head].copy_from_slice(s.ctx.row(i));
             }
         }
@@ -194,30 +212,41 @@ impl EncoderLayer {
 
 impl BertEncoder {
     /// Tape-free encoder stack over the activation in `scratch`
-    /// (filled via [`InferScratch::input_mut`]); the result stays in the
-    /// scratch for the pooler. Runs the bitwise scalar backend.
+    /// (filled via [`InferScratch::input_mut`]). Leaves the first
+    /// token's final hidden state, `1 × d_model`, in the scratch for the
+    /// pooler. Runs the bitwise scalar backend.
     pub fn infer(&self, store: &ParamStore, scratch: &mut InferScratch) {
         self.infer_with(&Engine::scalar(store), scratch);
     }
 
     /// Backend-routed encoder stack: like [`BertEncoder::infer`] but
-    /// executed by `engine`.
+    /// executed by `engine`. Every layer but the last runs on all
+    /// `seq` rows; the last projects keys and values from every row and
+    /// computes the rest for the first token's row only, the one row
+    /// the pooler reads. That row has the bits an all-rows pass gives it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the input has no rows.
     pub fn infer_with(&self, engine: &Engine<'_>, scratch: &mut InferScratch) {
-        for layer in &self.layers {
-            layer.infer(engine, scratch);
+        let (seq, d_model) = scratch.x.shape();
+        assert!(seq > 0, "the encoder needs at least one token");
+        for (i, layer) in self.layers.iter().enumerate() {
+            let rows = if i + 1 == self.layers.len() { 1 } else { seq };
+            layer.infer(engine, scratch, rows);
         }
+        // A stack without layers hands on the input's own first row.
+        scratch.x.resize(1, d_model);
     }
 }
 
 impl Pooler {
-    /// Backend-routed pooling of the encoded activation in `scratch`:
-    /// linear + tanh over the first token's hidden state. The tanh is a
-    /// single `1 × d_model` row — it stays scalar on every backend.
+    /// Backend-routed pooling of the encoder's `1 × d_model` output in
+    /// `scratch`: linear + tanh over the first token's hidden state,
+    /// read in place. The tanh is a single `1 × d_model` row — it stays
+    /// scalar on every backend.
     fn infer(&self, engine: &Engine<'_>, s: &mut InferScratch) {
-        let d = s.x.cols();
-        s.pooled_in.resize(1, d);
-        s.pooled_in.row_mut(0).copy_from_slice(s.x.row(0));
-        engine.linear_into(&self.dense, &s.pooled_in, &mut s.pooled);
+        engine.linear_into(&self.dense, &s.x, &mut s.pooled);
         s.pooled.map_inplace(f32::tanh);
     }
 }
@@ -239,7 +268,10 @@ impl BertClassifier {
     /// [`BertClassifier::infer_logit`], executed by `engine` — SIMD
     /// kernels and/or int8 weights when the engine carries them. Only
     /// the scalar engine guarantees bitwise identity with the tape;
-    /// other backends are tolerance-equivalent.
+    /// other backends are tolerance-equivalent. On every backend the
+    /// last encoder layer computes only the pooled row
+    /// ([`BertEncoder::infer_with`]), and the logit has the bits an
+    /// all-rows pass on the same backend gives.
     pub fn infer_logit_with(&self, engine: &Engine<'_>, scratch: &mut InferScratch) -> f32 {
         self.encoder.infer_with(engine, scratch);
         self.pooler.infer(engine, scratch);
@@ -253,8 +285,10 @@ impl BertClassifier {
 mod tests {
     use super::*;
     use crate::bert::BertConfig;
+    use crate::engine::Backend;
     use crate::param::Forward;
-    use rand::SeedableRng;
+    use crate::quant::QuantStore;
+    use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha20Rng;
     use rebert_tensor::normal;
 
@@ -297,6 +331,131 @@ mod tests {
         }
     }
 
+    /// The oracle for the one-row last layer: every layer, the last
+    /// included, runs on every row, and the pooler copies row 0 out of
+    /// the full `seq × d_model` result. Test-only, so production keeps
+    /// one path.
+    fn all_rows_layer(layer: &EncoderLayer, engine: &Engine<'_>, s: &mut InferScratch) {
+        engine.linear_into(&layer.attn.wq, &s.x, &mut s.q);
+        engine.linear_into(&layer.attn.wk, &s.x, &mut s.k);
+        engine.linear_into(&layer.attn.wv, &s.x, &mut s.v);
+        let seq = s.x.rows();
+        let d_head = layer.attn.d_model / layer.attn.n_heads;
+        let scale = 1.0 / (d_head as f32).sqrt();
+        s.concat.resize(seq, layer.attn.d_model);
+        for h in 0..layer.attn.n_heads {
+            let start = h * d_head;
+            s.q.col_slice_into(start, d_head, &mut s.qh);
+            s.k.col_slice_into(start, d_head, &mut s.kh);
+            s.v.col_slice_into(start, d_head, &mut s.vh);
+            engine.attn_scores_into(&s.qh, &s.kh, &mut s.scores);
+            s.scores.scale_assign(scale);
+            engine.softmax_rows_inplace(&mut s.scores);
+            engine.matmul_into(&s.scores, &s.vh, &mut s.ctx);
+            for i in 0..seq {
+                s.concat.row_mut(i)[start..start + d_head].copy_from_slice(s.ctx.row(i));
+            }
+        }
+        engine.linear_into(&layer.attn.wo, &s.concat, &mut s.attn_out);
+        s.x.add_assign(&s.attn_out);
+        engine.layer_norm_inplace(&layer.ln1, &mut s.x);
+        engine.linear_into(&layer.ff1, &s.x, &mut s.ff_inner);
+        engine.gelu_inplace(&mut s.ff_inner);
+        engine.linear_into(&layer.ff2, &s.ff_inner, &mut s.ff_out);
+        s.x.add_assign(&s.ff_out);
+        engine.layer_norm_inplace(&layer.ln2, &mut s.x);
+    }
+
+    fn all_rows_logit(model: &BertClassifier, engine: &Engine<'_>, x: &Tensor) -> f32 {
+        let mut s = InferScratch::new();
+        s.input_mut(x.rows(), x.cols())
+            .data_mut()
+            .copy_from_slice(x.data());
+        for layer in &model.encoder.layers {
+            all_rows_layer(layer, engine, &mut s);
+        }
+        assert_eq!(s.x.shape(), x.shape(), "the oracle keeps every row");
+        let first = Tensor::from_vec(1, x.cols(), s.x.row(0).to_vec());
+        let mut pooled = Tensor::default();
+        engine.linear_into(&model.pooler.dense, &first, &mut pooled);
+        pooled.map_inplace(f32::tanh);
+        let mut logit = Tensor::default();
+        engine.linear_into(&model.head, &pooled, &mut logit);
+        logit.data()[0]
+    }
+
+    /// The last layer computes only the pooled row, and the logit keeps
+    /// the all-rows forward's bits on every backend: random shapes
+    /// (heads × head width, 1–3 layers, FFN widths on and off a multiple
+    /// of 8, seq 1..=70 with seq 1 forced every eighth case), all run
+    /// through one scratch that shrinks to one row and regrows.
+    #[test]
+    fn one_row_last_layer_matches_all_rows_forward_on_every_backend() {
+        let mut rng = ChaCha20Rng::seed_from_u64(0x1AB0_0001);
+        let mut scratch = InferScratch::new();
+        for case in 0..64 {
+            let n_heads = rng.gen_range(1usize..=4);
+            let d_head = rng.gen_range(2usize..=8);
+            let cfg = BertConfig {
+                d_model: n_heads * d_head,
+                n_heads,
+                n_layers: rng.gen_range(1usize..=3),
+                d_ff: rng.gen_range(4usize..=40),
+            };
+            let seq = if case % 8 == 0 {
+                1
+            } else {
+                rng.gen_range(1usize..=70)
+            };
+            let seed = rng.gen_range(0u64..1000);
+            let mut store = ParamStore::new();
+            let mut init = ChaCha20Rng::seed_from_u64(seed);
+            let model = BertClassifier::new(&mut store, &mut init, "m", &cfg);
+            let view = QuantStore::build(&store);
+            let x = normal(&mut rng, seq, cfg.d_model, 1.0);
+            for backend in Backend::ALL {
+                let engine = Engine::new(&store, Some(&view), backend);
+                scratch
+                    .input_mut(seq, cfg.d_model)
+                    .data_mut()
+                    .copy_from_slice(x.data());
+                let got = model.infer_logit_with(&engine, &mut scratch);
+                let want = all_rows_logit(&model, &engine, &x);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "case {case} ({}, seq {seq}, seed {seed}, {cfg:?}): \
+                     one-row {got} vs all-rows {want}",
+                    engine.backend()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn encoder_leaves_the_first_tokens_row() {
+        let mut store = ParamStore::new();
+        let mut rng = ChaCha20Rng::seed_from_u64(5);
+        for n_layers in [0usize, 1, 2] {
+            let cfg = BertConfig {
+                n_layers,
+                ..BertConfig::tiny()
+            };
+            let enc = BertEncoder::new(&mut store, &mut rng, "e", &cfg);
+            let x = normal(&mut rng, 6, cfg.d_model, 1.0);
+            let mut scratch = InferScratch::new();
+            scratch
+                .input_mut(6, cfg.d_model)
+                .data_mut()
+                .copy_from_slice(x.data());
+            enc.infer(&store, &mut scratch);
+            assert_eq!(scratch.x.shape(), (1, cfg.d_model), "{n_layers} layers");
+            if n_layers == 0 {
+                assert_eq!(scratch.x.row(0), x.row(0));
+            }
+        }
+    }
+
     #[test]
     fn scratch_reuse_is_stable_across_shapes() {
         // Reusing one scratch across different sequence lengths must not
@@ -325,9 +484,6 @@ mod tests {
 
     #[test]
     fn simd_and_int8_backends_track_scalar_logits() {
-        use crate::engine::Backend;
-        use crate::quant::QuantStore;
-
         let mut store = ParamStore::new();
         let mut rng = ChaCha20Rng::seed_from_u64(11);
         let cfg = BertConfig::tiny();

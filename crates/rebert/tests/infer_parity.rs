@@ -2,7 +2,8 @@
 //! `score_pairs_backend` on the scalar backend must agree with the taped
 //! `predict` (the acceptance bound is 1e-5; the engine is in fact
 //! bit-exact) for random model configurations and seeds, and batched
-//! scoring must be deterministic and thread-count-invariant.
+//! scoring must be deterministic and thread-count-invariant on every
+//! backend.
 //!
 //! The random cases are seeded loops: each property draws its inputs
 //! from a fixed-seed ChaCha stream, so every run checks the same cases.
@@ -90,7 +91,9 @@ fn tape_free_matches_taped_predict() {
     }
 }
 
-/// Batched scoring is deterministic and independent of the thread count.
+/// Batched scoring is deterministic and independent of the thread count
+/// on every backend. Each leased scratch ends a pair with one row (the
+/// encoder keeps only the pooled token's) and regrows for the next.
 #[test]
 fn score_pairs_thread_count_invariant() {
     let mut rng = ChaCha20Rng::seed_from_u64(0x1FE4_0002);
@@ -115,18 +118,20 @@ fn score_pairs_thread_count_invariant() {
                 ));
             }
         }
-        let base = model.score_pairs_backend(&pairs, 1, Backend::F32Scalar);
-        assert_eq!(
-            model.score_pairs_backend(&pairs, 1, Backend::F32Scalar),
-            base,
-            "{ctx}: not deterministic"
-        );
-        for threads in [2usize, 3, 8] {
+        for backend in Backend::ALL {
+            let base = model.score_pairs_backend(&pairs, 1, backend);
             assert_eq!(
-                model.score_pairs_backend(&pairs, threads, Backend::F32Scalar),
+                model.score_pairs_backend(&pairs, 1, backend),
                 base,
-                "{ctx}: {threads} threads"
+                "{ctx}: {backend} not deterministic"
             );
+            for threads in [2usize, 3, 8] {
+                assert_eq!(
+                    model.score_pairs_backend(&pairs, threads, backend),
+                    base,
+                    "{ctx}: {backend} at {threads} threads"
+                );
+            }
         }
     }
 }

@@ -10,8 +10,11 @@
 //! Accumulation discipline: each output lane accumulates in ascending-`k`
 //! order, exactly like the scalar blocked kernels, but multiply-adds are
 //! fused (FMA) and reductions are 8-lane parallel, so results differ
-//! from scalar by a few ULP. Column/row fringes that do not fill a
-//! vector fall back to plain scalar arithmetic.
+//! from scalar by a few ULP. Product column fringes and the row-wise
+//! kernels' column tails that do not fill a vector fall back to plain
+//! scalar arithmetic. GELU has no such fringe: its last 1..7 elements
+//! run one masked vector through the same lane math, so an element's
+//! value never depends on where it sits in the buffer.
 
 // Index-based loops mirror the register-tile math and keep the
 // addressing obviously in-bounds next to the pointer arithmetic.
@@ -285,30 +288,43 @@ pub unsafe fn layer_norm_rows(
 
 /// GELU elementwise in place (tanh form, same constants as
 /// [`crate::tape::gelu`], tanh evaluated via the polynomial `exp`).
+/// Every element takes the same lane math: the last 1..7 run as one
+/// masked vector whose idle lanes are never stored.
 ///
 /// # Safety
 ///
 /// AVX2+FMA must be available.
 #[target_feature(enable = "avx2,fma")]
 pub unsafe fn gelu_inplace(x: &mut [f32]) {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi), as in the scalar gelu
-    const A: f32 = 0.044_715;
     let n = x.len();
     let p = x.as_mut_ptr();
     let mut i = 0;
     while i + 8 <= n {
-        let v = _mm256_loadu_ps(p.add(i));
-        let v2 = _mm256_mul_ps(v, v);
-        let inner = _mm256_fmadd_ps(_mm256_mul_ps(v2, v), _mm256_set1_ps(A), v);
-        let t = tanh_ps(_mm256_mul_ps(inner, _mm256_set1_ps(C)));
-        let half_v = _mm256_mul_ps(_mm256_set1_ps(0.5), v);
-        let out = _mm256_mul_ps(half_v, _mm256_add_ps(t, _mm256_set1_ps(1.0)));
-        _mm256_storeu_ps(p.add(i), out);
+        _mm256_storeu_ps(p.add(i), gelu_ps(_mm256_loadu_ps(p.add(i))));
         i += 8;
     }
-    for v in &mut x[i..] {
-        *v = crate::tape::gelu(*v);
+    if i < n {
+        // Lane `l` is live when `l < n - i`.
+        let live = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32((n - i) as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        let v = _mm256_maskload_ps(p.add(i), live);
+        _mm256_maskstore_ps(p.add(i), live, gelu_ps(v));
     }
+}
+
+/// GELU of each of 8 lanes: `0.5 · v · (1 + tanh(C · (v + A · v³)))`.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn gelu_ps(v: __m256) -> __m256 {
+    const C: f32 = 0.797_884_6; // sqrt(2/pi), as in the scalar gelu
+    const A: f32 = 0.044_715;
+    let v2 = _mm256_mul_ps(v, v);
+    let inner = _mm256_fmadd_ps(_mm256_mul_ps(v2, v), _mm256_set1_ps(A), v);
+    let t = tanh_ps(_mm256_mul_ps(inner, _mm256_set1_ps(C)));
+    let half_v = _mm256_mul_ps(_mm256_set1_ps(0.5), v);
+    _mm256_mul_ps(half_v, _mm256_add_ps(t, _mm256_set1_ps(1.0)))
 }
 
 /// Row-wise softmax in place over `x: rows×cols`, matching the scalar

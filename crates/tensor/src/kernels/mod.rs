@@ -303,6 +303,8 @@ pub fn layer_norm_rows(level: SimdLevel, x: &mut Tensor, gamma: &[f32], beta: &[
 ///
 /// The `Scalar` arm is exactly `x.map_inplace(gelu)`; the AVX2 arm uses
 /// a polynomial `exp` to evaluate the tanh, accurate to ~1e-6 relative.
+/// On either arm an element's result depends on its value alone, not on
+/// its position in the buffer.
 pub fn gelu_inplace(level: SimdLevel, x: &mut Tensor) {
     match level {
         #[cfg(all(target_arch = "x86_64", not(miri)))]

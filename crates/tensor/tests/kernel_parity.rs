@@ -9,7 +9,8 @@
 //!   subnormals,
 //! * the `Scalar` dispatch arm is **bitwise-identical** to the plain
 //!   `Tensor` methods and to a naive triple loop,
-//! * the host's best SIMD level is tolerance-equivalent to scalar,
+//! * the host's best SIMD level is tolerance-equivalent to scalar, and
+//!   its GELU gives a row the same bits at any row count,
 //! * the int8 kernel matches an f32 matmul against the dequantized
 //!   codes exactly in shape and closely in value.
 //!
@@ -398,6 +399,26 @@ fn simd_rowwise_kernels_track_scalar() {
         softmax_rows_inplace(level, &mut simd);
         softmax_rows_inplace(SimdLevel::Scalar, &mut scalar);
         assert_close(&simd, &scalar, 1e-5, 1e-5, &at("softmax"));
+    }
+}
+
+/// At the host's best level, GELU gives an element the same bits
+/// wherever it sits in the buffer: a `1 × n` row alone equals row 0 of
+/// a `3 × n` tensor, whose flat tail lands elsewhere. The encoder's last
+/// layer runs its FFN on one row, so the pooled row's bits rest on this.
+#[test]
+fn gelu_row_bits_do_not_depend_on_the_row_count() {
+    let level = simd_level();
+    for n in 1..=40 {
+        let mut all = matrix(3, n, 0x6E1u64 + n as u64);
+        let mut one = Tensor::from_vec(1, n, all.row(0).to_vec());
+        gelu_inplace(level, &mut one);
+        gelu_inplace(level, &mut all);
+        assert_bitwise_eq(
+            &one,
+            &Tensor::from_vec(1, n, all.row(0).to_vec()),
+            &format!("{level:?} gelu, n = {n}: 1 row vs row 0 of 3"),
+        );
     }
 }
 
