@@ -1,10 +1,9 @@
 //! Multi-head scaled dot-product self-attention (paper §II-C).
 
-use rand::Rng;
 use rebert_tensor::VarId;
 
 use crate::layers::Linear;
-use crate::param::{Forward, ParamStore};
+use crate::param::{Forward, Init, ParamStore};
 
 /// Multi-head self-attention over a `seq × d_model` input.
 ///
@@ -28,9 +27,9 @@ impl MultiHeadAttention {
     /// # Panics
     ///
     /// Panics if `d_model` is not divisible by `n_heads`.
-    pub fn new<R: Rng>(
+    pub fn new<I: Init>(
         store: &mut ParamStore,
-        rng: &mut R,
+        init: &mut I,
         name: &str,
         d_model: usize,
         n_heads: usize,
@@ -40,10 +39,10 @@ impl MultiHeadAttention {
             "d_model {d_model} not divisible by n_heads {n_heads}"
         );
         MultiHeadAttention {
-            wq: Linear::new(store, rng, &format!("{name}.q"), d_model, d_model),
-            wk: Linear::new(store, rng, &format!("{name}.k"), d_model, d_model),
-            wv: Linear::new(store, rng, &format!("{name}.v"), d_model, d_model),
-            wo: Linear::new(store, rng, &format!("{name}.o"), d_model, d_model),
+            wq: Linear::new(store, init, &format!("{name}.q"), d_model, d_model),
+            wk: Linear::new(store, init, &format!("{name}.k"), d_model, d_model),
+            wv: Linear::new(store, init, &format!("{name}.v"), d_model, d_model),
+            wo: Linear::new(store, init, &format!("{name}.o"), d_model, d_model),
             n_heads,
             d_model,
         }

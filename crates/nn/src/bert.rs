@@ -1,12 +1,11 @@
 //! The BERT-style encoder stack, pooler, and classification head
 //! (paper §II-C and Fig. 4).
 
-use rand::Rng;
 use rebert_tensor::VarId;
 
 use crate::attention::MultiHeadAttention;
 use crate::layers::{LayerNorm, Linear};
-use crate::param::{Forward, ParamStore};
+use crate::param::{Forward, Init, ParamStore};
 
 /// Hyperparameters of the encoder.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,19 +67,24 @@ pub struct EncoderLayer {
 
 impl EncoderLayer {
     /// Creates one encoder layer's parameters under `name.*`.
-    pub fn new<R: Rng>(store: &mut ParamStore, rng: &mut R, name: &str, cfg: &BertConfig) -> Self {
+    pub fn new<I: Init>(
+        store: &mut ParamStore,
+        init: &mut I,
+        name: &str,
+        cfg: &BertConfig,
+    ) -> Self {
         EncoderLayer {
             attn: MultiHeadAttention::new(
                 store,
-                rng,
+                init,
                 &format!("{name}.attn"),
                 cfg.d_model,
                 cfg.n_heads,
             ),
-            ln1: LayerNorm::new(store, &format!("{name}.ln1"), cfg.d_model, 1e-5),
-            ff1: Linear::new(store, rng, &format!("{name}.ff1"), cfg.d_model, cfg.d_ff),
-            ff2: Linear::new(store, rng, &format!("{name}.ff2"), cfg.d_ff, cfg.d_model),
-            ln2: LayerNorm::new(store, &format!("{name}.ln2"), cfg.d_model, 1e-5),
+            ln1: LayerNorm::new(store, init, &format!("{name}.ln1"), cfg.d_model, 1e-5),
+            ff1: Linear::new(store, init, &format!("{name}.ff1"), cfg.d_model, cfg.d_ff),
+            ff2: Linear::new(store, init, &format!("{name}.ff2"), cfg.d_ff, cfg.d_model),
+            ln2: LayerNorm::new(store, init, &format!("{name}.ln2"), cfg.d_model, 1e-5),
         }
     }
 
@@ -108,9 +112,14 @@ pub struct BertEncoder {
 
 impl BertEncoder {
     /// Creates `cfg.n_layers` encoder layers under `name.layer<i>.*`.
-    pub fn new<R: Rng>(store: &mut ParamStore, rng: &mut R, name: &str, cfg: &BertConfig) -> Self {
+    pub fn new<I: Init>(
+        store: &mut ParamStore,
+        init: &mut I,
+        name: &str,
+        cfg: &BertConfig,
+    ) -> Self {
         let layers = (0..cfg.n_layers)
-            .map(|i| EncoderLayer::new(store, rng, &format!("{name}.layer{i}"), cfg))
+            .map(|i| EncoderLayer::new(store, init, &format!("{name}.layer{i}"), cfg))
             .collect();
         BertEncoder {
             layers,
@@ -146,9 +155,9 @@ pub struct Pooler {
 
 impl Pooler {
     /// Creates the pooler parameters under `name.*`.
-    pub fn new<R: Rng>(store: &mut ParamStore, rng: &mut R, name: &str, d_model: usize) -> Self {
+    pub fn new<I: Init>(store: &mut ParamStore, init: &mut I, name: &str, d_model: usize) -> Self {
         Pooler {
-            dense: Linear::new(store, rng, &format!("{name}.dense"), d_model, d_model),
+            dense: Linear::new(store, init, &format!("{name}.dense"), d_model, d_model),
         }
     }
 
@@ -172,11 +181,16 @@ pub struct BertClassifier {
 
 impl BertClassifier {
     /// Creates all parameters under `name.*`.
-    pub fn new<R: Rng>(store: &mut ParamStore, rng: &mut R, name: &str, cfg: &BertConfig) -> Self {
+    pub fn new<I: Init>(
+        store: &mut ParamStore,
+        init: &mut I,
+        name: &str,
+        cfg: &BertConfig,
+    ) -> Self {
         BertClassifier {
-            encoder: BertEncoder::new(store, rng, &format!("{name}.encoder"), cfg),
-            pooler: Pooler::new(store, rng, &format!("{name}.pooler"), cfg.d_model),
-            head: Linear::new(store, rng, &format!("{name}.cls"), cfg.d_model, 1),
+            encoder: BertEncoder::new(store, init, &format!("{name}.encoder"), cfg),
+            pooler: Pooler::new(store, init, &format!("{name}.pooler"), cfg.d_model),
+            head: Linear::new(store, init, &format!("{name}.cls"), cfg.d_model, 1),
         }
     }
 

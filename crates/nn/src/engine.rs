@@ -93,7 +93,7 @@ impl Backend {
 
 impl std::fmt::Display for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
+        f.pad(self.label())
     }
 }
 
@@ -231,6 +231,14 @@ mod tests {
         assert_eq!(Backend::parse("simd"), Some(Backend::F32Simd));
         assert_eq!(Backend::parse("fp16"), None);
         assert_eq!(Backend::parse("F32"), None, "parse is case-sensitive");
+    }
+
+    #[test]
+    fn display_honours_width_and_alignment() {
+        assert_eq!(format!("{:<12}|", Backend::F32Simd), "f32-simd    |");
+        assert_eq!(format!("{:>12}|", Backend::Int8), "        int8|");
+        assert_eq!(format!("{:^6}|", Backend::Int8), " int8 |");
+        assert_eq!(format!("{:.3}", Backend::F32Scalar), "f32");
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Basic trainable layers: linear, layer-norm, embedding.
 
-use rand::Rng;
-use rebert_tensor::{normal, xavier, Tensor, VarId};
+use rebert_tensor::VarId;
 
-use crate::param::{Forward, ParamId, ParamStore};
+use crate::param::{Fill, Forward, Init, ParamId, ParamStore};
 
 /// A fully connected layer `y = x W + b`.
 #[derive(Debug, Clone)]
@@ -17,15 +16,15 @@ pub struct Linear {
 impl Linear {
     /// Creates a linear layer with Xavier-initialized weights and zero
     /// bias, registering parameters under `name.w` / `name.b`.
-    pub fn new<R: Rng>(
+    pub fn new<I: Init>(
         store: &mut ParamStore,
-        rng: &mut R,
+        init: &mut I,
         name: &str,
         in_dim: usize,
         out_dim: usize,
     ) -> Self {
-        let w = store.add(format!("{name}.w"), xavier(rng, in_dim, out_dim));
-        let b = store.add(format!("{name}.b"), Tensor::zeros(1, out_dim));
+        let w = init.param(store, format!("{name}.w"), in_dim, out_dim, Fill::Xavier);
+        let b = init.param(store, format!("{name}.b"), 1, out_dim, Fill::Const(0.0));
         Linear {
             w,
             b,
@@ -63,9 +62,15 @@ pub struct LayerNorm {
 
 impl LayerNorm {
     /// Creates a layer-norm over `dim` features (γ = 1, β = 0).
-    pub fn new(store: &mut ParamStore, name: &str, dim: usize, eps: f32) -> Self {
-        let gamma = store.add(format!("{name}.gamma"), Tensor::full(1, dim, 1.0));
-        let beta = store.add(format!("{name}.beta"), Tensor::zeros(1, dim));
+    pub fn new<I: Init>(
+        store: &mut ParamStore,
+        init: &mut I,
+        name: &str,
+        dim: usize,
+        eps: f32,
+    ) -> Self {
+        let gamma = init.param(store, format!("{name}.gamma"), 1, dim, Fill::Const(1.0));
+        let beta = init.param(store, format!("{name}.beta"), 1, dim, Fill::Const(0.0));
         LayerNorm { gamma, beta, eps }
     }
 
@@ -88,14 +93,20 @@ pub struct Embedding {
 impl Embedding {
     /// Creates an embedding with `N(0, 0.02²)` initialization (the BERT
     /// convention).
-    pub fn new<R: Rng>(
+    pub fn new<I: Init>(
         store: &mut ParamStore,
-        rng: &mut R,
+        init: &mut I,
         name: &str,
         vocab: usize,
         dim: usize,
     ) -> Self {
-        let table = store.add(format!("{name}.table"), normal(rng, vocab, dim, 0.02));
+        let table = init.param(
+            store,
+            format!("{name}.table"),
+            vocab,
+            dim,
+            Fill::Normal(0.02),
+        );
         Embedding { table, vocab, dim }
     }
 
@@ -125,6 +136,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
+    use rebert_tensor::Tensor;
 
     #[test]
     fn linear_shapes_and_bias() {
@@ -144,7 +156,8 @@ mod tests {
     #[test]
     fn layer_norm_normalizes_rows() {
         let mut store = ParamStore::new();
-        let ln = LayerNorm::new(&mut store, "ln", 4, 1e-5);
+        let mut rng = ChaCha20Rng::seed_from_u64(0);
+        let ln = LayerNorm::new(&mut store, &mut rng, "ln", 4, 1e-5);
         let mut fwd = Forward::new(&store);
         let x = fwd.input(Tensor::from_rows(&[&[1.0, 2.0, 3.0, 4.0]]));
         let y = ln.forward(&mut fwd, x);

@@ -43,5 +43,5 @@ pub use bert::{BertClassifier, BertConfig, BertEncoder, EncoderLayer, Pooler};
 pub use engine::{Backend, Engine};
 pub use infer::InferScratch;
 pub use layers::{Embedding, LayerNorm, Linear};
-pub use param::{Forward, GradAccumulator, ParamId, ParamStore};
+pub use param::{Fill, Forward, GradAccumulator, Init, LayoutError, Loaded, ParamId, ParamStore};
 pub use quant::{QuantStore, QuantTensor};

@@ -237,10 +237,13 @@ pub enum Kind {
 ///
 /// [`Reader::object`] and [`Reader::array`] hand each member to a
 /// closure, which must consume exactly one value with another step;
-/// [`Reader::number`] borrows a number's literal text, [`Reader::value`]
-/// builds a [`Json`] tree, and [`Reader::finish`] rejects trailing bytes.
+/// [`Reader::number`] borrows a number's literal text,
+/// [`Reader::flat_array`] borrows the unread text of an array of
+/// scalars, [`Reader::value`] builds a [`Json`] tree, and
+/// [`Reader::finish`] rejects trailing bytes.
 /// Every step enforces the same rules as [`Json::parse`]: duplicate
-/// object keys, the nesting bound, escapes and number syntax.
+/// object keys, the nesting bound, escapes and number syntax, except on
+/// the elements [`Reader::flat_array`] leaves unread.
 pub struct Reader<'a> {
     text: &'a str,
     pos: usize,
@@ -371,6 +374,45 @@ impl<'a> Reader<'a> {
                     return Ok(());
                 }
                 _ => return Err(self.err("expected `,` or `}` in object")),
+            }
+        }
+    }
+
+    /// Reads an array that holds no string, array or object without
+    /// reading its elements, and returns the text between its brackets,
+    /// borrowed from the document, so a caller can split it and decode
+    /// the scalars elsewhere (on other threads, say). Nothing between the
+    /// brackets is checked: the caller owns the elements' grammar.
+    ///
+    /// Fails, having consumed nothing, when the array is not flat, has
+    /// no closing `]`, or would nest past the depth bound; read those
+    /// with [`Reader::array`], which reports the precise error.
+    pub fn flat_array(&mut self) -> Result<&'a str, JsonError> {
+        self.skip_ws();
+        let start = self.pos;
+        self.eat(b'[')?;
+        let body = &self.text.as_bytes()[self.pos..];
+        let stop = |b: u8| matches!(b, b']' | b'[' | b'{' | b'"');
+        // Whole chunks first: a branch-free test per chunk vectorizes,
+        // and a tensor's data runs to hundreds of kilobytes.
+        let clear: usize = body
+            .chunks(64)
+            .take_while(|chunk| !chunk.iter().fold(false, |hit, &b| hit | stop(b)))
+            .map(<[u8]>::len)
+            .sum();
+        let end = body[clear..]
+            .iter()
+            .position(|&b| stop(b))
+            .map(|at| clear + at);
+        match end {
+            Some(end) if body[end] == b']' && self.depth < MAX_DEPTH => {
+                let span = &self.text[self.pos..self.pos + end];
+                self.pos += end + 1;
+                Ok(span)
+            }
+            _ => {
+                self.pos = start;
+                Err(self.err("expected an array of scalars"))
             }
         }
     }
@@ -850,6 +892,57 @@ mod tests {
         r.value().unwrap();
         assert!(r.finish().is_err(), "trailing bytes rejected");
         assert_eq!(Reader::new(" ?").peek(), None);
+    }
+
+    #[test]
+    fn flat_array_borrows_the_span_or_consumes_nothing() {
+        let mut r = Reader::new(" [1, 2.5 ,-0] ");
+        assert_eq!(r.flat_array(), Ok("1, 2.5 ,-0"));
+        r.finish().unwrap();
+        assert_eq!(Reader::new("[]").flat_array(), Ok(""));
+        // Unread elements are the caller's to check.
+        assert_eq!(Reader::new("[1,,x]").flat_array(), Ok("1,,x"));
+        for text in [
+            r#"[1,"]"]"#,
+            "[1,[2]]",
+            r#"[{"a":1}]"#,
+            "[1,2",
+            "1",
+            r#"["a"]"#,
+        ] {
+            let mut r = Reader::new(text);
+            assert!(r.flat_array().is_err(), "{text}");
+            // Nothing consumed: the whole value still reads as before.
+            assert_eq!(r.value(), Reader::new(text).value(), "{text}");
+        }
+        // Past one 64-byte chunk, the first stop byte wins wherever it sits.
+        for n in 0..150 {
+            let run = "7,".repeat(n);
+            assert_eq!(
+                Reader::new(&format!("[{run}7]")).flat_array(),
+                Ok(&*format!("{run}7"))
+            );
+            for stop in ["[7]]", "\"]\"]", "{}]"] {
+                let text = format!("[{run}{stop}");
+                assert!(Reader::new(&text).flat_array().is_err(), "{text}");
+            }
+        }
+        // At the nesting bound the step declines, as `array` would.
+        fn innermost<'a>(r: &mut Reader<'a>, levels: usize) -> Result<&'a str, JsonError> {
+            if levels == 0 {
+                return r.flat_array();
+            }
+            let mut span = Ok("");
+            r.array(|r| {
+                span = innermost(r, levels - 1);
+                span.clone().map(drop)
+            })?;
+            span
+        }
+        let nested = |levels| "[".repeat(levels) + "[1]" + &"]".repeat(levels);
+        assert_eq!(innermost(&mut Reader::new(&nested(63)), 63), Ok("1"));
+        assert!(innermost(&mut Reader::new(&nested(64)), 64).is_err());
+        assert!(Json::parse(&nested(63)).is_ok() && Json::parse(&nested(64)).is_err());
     }
 
     #[test]

@@ -82,10 +82,7 @@ fn run(args: &[String]) -> Result<(), String> {
             digest = Some(h.finish());
         }
         let digest = digest.expect("reps > 0");
-        println!(
-            "{:<10}  digest {digest:016x}  best {best:.1} us/pair",
-            backend.label()
-        );
+        println!("{backend:<10}  digest {digest:016x}  best {best:.1} us/pair");
     }
     Ok(())
 }

@@ -7,7 +7,7 @@ use std::sync::OnceLock;
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use rebert_nn::{
-    Backend, BertClassifier, BertConfig, Embedding, Engine, Forward, InferScratch, Linear,
+    Backend, BertClassifier, BertConfig, Embedding, Engine, Forward, InferScratch, Init, Linear,
     ParamStore, QuantStore,
 };
 use rebert_tensor::{sigmoid, Tensor, VarId};
@@ -137,6 +137,17 @@ impl ReBertModel {
     ///
     /// Panics if no embedding scheme is enabled or `code_width` is odd.
     pub fn new(config: ReBertConfig, seed: u64) -> Self {
+        Self::build(config, &mut ChaCha20Rng::seed_from_u64(seed))
+    }
+
+    /// Builds the architecture `config` describes, taking every parameter
+    /// from `init` in registration order: fresh draws from a seeded
+    /// generator, or a checkpoint's tensors ([`rebert_nn::Loaded`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no embedding scheme is enabled or `code_width` is odd.
+    pub(crate) fn build(config: ReBertConfig, init: &mut impl Init) -> Self {
         assert!(
             config.embeddings.word || config.embeddings.position || config.embeddings.tree,
             "at least one embedding scheme must be enabled"
@@ -145,14 +156,13 @@ impl ReBertModel {
             config.code_width >= 2 && config.code_width.is_multiple_of(2),
             "code_width must be a positive even number"
         );
-        let mut rng = ChaCha20Rng::seed_from_u64(seed);
         let mut store = ParamStore::new();
         let vocab = Vocab::new();
         let d = config.bert.d_model;
-        let word_emb = Embedding::new(&mut store, &mut rng, "emb.word", vocab.len(), d);
-        let pos_emb = Embedding::new(&mut store, &mut rng, "emb.pos", config.max_seq, d);
-        let tree_proj = Linear::new(&mut store, &mut rng, "emb.tree", config.code_width, d);
-        let classifier = BertClassifier::new(&mut store, &mut rng, "bert", &config.bert);
+        let word_emb = Embedding::new(&mut store, init, "emb.word", vocab.len(), d);
+        let pos_emb = Embedding::new(&mut store, init, "emb.pos", config.max_seq, d);
+        let tree_proj = Linear::new(&mut store, init, "emb.tree", config.code_width, d);
+        let classifier = BertClassifier::new(&mut store, init, "bert", &config.bert);
         ReBertModel {
             config,
             vocab,
@@ -191,8 +201,8 @@ impl ReBertModel {
         &mut self.store
     }
 
-    /// Replaces the parameter store (checkpoint loading). Drops any
-    /// cached int8 view.
+    /// Replaces the parameter store (say, with another model's trained
+    /// weights). Drops any cached int8 view.
     ///
     /// # Panics
     ///
@@ -387,12 +397,20 @@ mod tests {
     }
 }
 
-/// Pairs per work-stealing batch in [`ReBertModel::score_pairs_backend`].
+/// The most pairs one work-stealing claim takes in
+/// [`ReBertModel::score_pairs_backend`].
 ///
 /// Small enough that Jaccard-filtered survivor sets (irregular sequence
 /// lengths) balance well across cores, large enough that the atomic
 /// cursor is not contended.
 pub(crate) const SCORE_BATCH: usize = 32;
+
+/// Pairs per claim when `workers` threads score `pairs` pairs: about
+/// four claims per worker, so a request of a few dozen pairs still
+/// spreads over every core, and never more than [`SCORE_BATCH`].
+fn score_claim(pairs: usize, workers: usize) -> usize {
+    pairs.div_ceil(4 * workers).clamp(1, SCORE_BATCH)
+}
 
 /// Resolves a thread-count knob: `0` means "use all available cores".
 pub fn resolve_threads(threads: usize) -> usize {
@@ -516,10 +534,13 @@ impl ReBertModel {
     /// fanning the work out over `threads` OS threads (`0` = all
     /// available cores).
     ///
-    /// Scheduling is work stealing over an atomic pair-index cursor in
-    /// `SCORE_BATCH`-sized batches — Jaccard-filtered survivors have
-    /// irregular sequence lengths, so fixed chunks would leave cores
-    /// idle. Results are written by pair index, so the output is
+    /// Scheduling is work stealing over an atomic pair-index cursor, in
+    /// claims of about a quarter of each worker's share and at most
+    /// `SCORE_BATCH` pairs — Jaccard-filtered survivors have irregular
+    /// sequence lengths, so fixed chunks would leave cores idle, and a
+    /// small request still reaches every core. A pair's score does not
+    /// depend on which worker computes it, and results are written by
+    /// pair index, so the output is
     /// deterministic and independent of the thread count. The scalar
     /// backend is bitwise-identical to the taped [`ReBertModel::predict`];
     /// SIMD and int8 trade bitwise identity for throughput.
@@ -553,10 +574,11 @@ impl ReBertModel {
         F: Fn(&T) -> Cow<'_, PairSequence> + Sync,
     {
         let engine = self.engine(backend);
+        let threads = resolve_threads(threads);
         crate::par::try_par_map_batched(
             items,
             threads,
-            SCORE_BATCH,
+            score_claim(items.len(), threads),
             cancel,
             || self.scratches.lease(),
             |lease, item| sigmoid(self.infer_logit(&pair_of(item), &mut lease.scratch, &engine)),
@@ -628,6 +650,25 @@ mod batch_tests {
         assert!(model
             .score_pairs_backend(&[], 4, Backend::F32Scalar)
             .is_empty());
+    }
+
+    #[test]
+    fn claims_shrink_for_small_requests() {
+        // Two workers: b11's 15 pairs, b03's 22, b05's 37, b13's 50.
+        for (pairs, claim) in [
+            (0, 1),
+            (1, 1),
+            (15, 2),
+            (22, 3),
+            (37, 5),
+            (50, 7),
+            (255, 32),
+        ] {
+            assert_eq!(score_claim(pairs, 2), claim, "{pairs} pairs");
+        }
+        assert_eq!(score_claim(10_000, 8), SCORE_BATCH);
+        assert_eq!(score_claim(40, 8), 2);
+        assert_eq!(score_claim(40, 1), 10);
     }
 
     #[test]

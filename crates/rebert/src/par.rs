@@ -1,5 +1,5 @@
 //! Deterministic work-stealing parallel map, shared by the model's batch
-//! scorer and the pipeline's class-pair sweep.
+//! scorer, the pipeline's class-pair sweep and the checkpoint loader.
 //!
 //! Work items are claimed in fixed-size batches off an atomic cursor —
 //! netlist workloads are irregular (Jaccard-filtered survivors, mixed
@@ -31,10 +31,9 @@ use crate::cancel::CancelToken;
 /// back to a plain serial map when one thread suffices or the workload
 /// fits in a single batch.
 ///
-/// Production callers thread a [`CancelToken`] and use
-/// [`try_par_map_batched`] directly; this wrapper stays as the
-/// uncancellable reference entry point for the determinism tests.
-#[cfg_attr(not(test), allow(dead_code))]
+/// The scorer and the class-pair sweep thread a [`CancelToken`] through
+/// [`try_par_map_batched`]; checkpoint loading, which nothing cancels,
+/// decodes its tensor spans here.
 pub(crate) fn par_map_batched<T, R, S, G, F>(
     items: &[T],
     threads: usize,

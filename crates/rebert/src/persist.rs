@@ -2,18 +2,40 @@
 //!
 //! Serialization is hand-rolled on [`crate::json`] (same field layout as
 //! the previous serde-derived schema, so old checkpoints stay loadable).
-//! Loading streams the document once through [`crate::json::Reader`]:
-//! the config and the parameter names become small [`Json`] values, and
-//! each tensor's scalars go from their borrowed literals straight into
-//! its `Vec<f32>`, with no tree and no allocation per scalar, so load
-//! time is linear in the file size. Keys may come in any order, unknown
-//! keys are skipped, and a grammar error anywhere in the document wins
-//! over a content error.
+//!
+//! Loading decodes the document in two phases, with no tree and no
+//! allocation per scalar:
+//!
+//! 1. One walk with [`crate::json::Reader`] turns the config and the
+//!    parameter names into small [`Json`] values and takes each tensor's
+//!    `data` array as the raw text between its brackets
+//!    ([`crate::json::Reader::flat_array`]), jumping to its `]` without
+//!    reading a scalar.
+//! 2. The spans are decoded on every core, each into a buffer sized to
+//!    its literal count, by a strict one-pass decoder. It accepts exactly
+//!    the JSON number grammar and returns exactly the bits of
+//!    `str::parse::<f32>`: literals of at most 19 significant digits
+//!    with a decimal exponent within ±22 take Clinger's exact `f64`
+//!    path, and an `f64` on an `f32` rounding midpoint, as well as every
+//!    other literal, goes to `str::parse`.
+//!
+//! A document the walk rejects, a `data` array that is not flat, or a
+//! span the decoder rejects sends the whole document through the
+//! element-wise route instead: one walk that reads each scalar as it
+//! comes, as loading did before the split. The span route reports no
+//! error of its own: every grammar error comes from the element-wise
+//! walk, and content errors come from the same checks on either route,
+//! so the messages do not depend on the route. Precedence holds on
+//! both: a grammar error anywhere in the document wins over a content
+//! error, the first grammar error is the one reported, and content
+//! errors follow the order the fields are checked in. Keys may come in
+//! any order, and unknown keys are skipped.
 //!
 //! Loading **validates** the stored parameter tensors against the
-//! architecture the stored config implies: every tensor must exist, in
-//! registration order, with the registered name and shape. A truncated
-//! or mismatched checkpoint fails with a descriptive
+//! architecture the stored config implies. The model is built around the
+//! stored tensors ([`rebert_nn::Loaded`]), so every tensor must exist, in
+//! registration order, with the registered name and shape, and nothing is
+//! sampled. A truncated or mismatched checkpoint fails with a descriptive
 //! [`PersistError::Shape`] instead of panicking mid-forward. The model's
 //! fingerprint is not computed at load; [`ReBertModel::fingerprint`]
 //! computes it on first use.
@@ -22,7 +44,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
 
-use rebert_nn::ParamStore;
+use rebert_nn::{LayoutError, Loaded, ParamStore};
 use rebert_tensor::Tensor;
 
 use crate::json::{Json, JsonError, Kind, Reader};
@@ -208,32 +230,104 @@ fn decode_config(doc: &Json) -> Result<ReBertConfig, PersistError> {
     Ok(cfg)
 }
 
-/// `store` as streamed: the names stay a small [`Json`] value, and each
-/// tensor's scalars go from their literals straight into a `Vec<f32>`.
-#[derive(Default)]
-struct RawStore {
-    names: Option<Json>,
-    /// `None` when absent or not an array.
-    tensors: Option<Vec<RawTensor>>,
+/// How a walk takes each tensor's `data` array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    /// As one raw span, decoded on every core after the walk.
+    Spans,
+    /// Element by element, as the walk reads it.
+    Elements,
 }
 
-/// One `store.tensors` entry as streamed.
+/// The document as walked.
+struct RawDoc<'a> {
+    config: Option<Json>,
+    store: Option<RawStore<'a>>,
+}
+
+/// `store` as walked: the names stay a small [`Json`] value.
 #[derive(Default)]
-struct RawTensor {
+struct RawStore<'a> {
+    names: Option<Json>,
+    /// `None` when absent or not an array.
+    tensors: Option<Vec<RawTensor<'a>>>,
+}
+
+/// One `store.tensors` entry as walked.
+#[derive(Default)]
+struct RawTensor<'a> {
     rows: Option<Json>,
     cols: Option<Json>,
-    /// `None` when absent or not an array. An element that is not a
-    /// number reads as NaN and sets `non_number`, so it still counts
-    /// toward the declared shape.
+    /// On the span route, the text between the `data` array's brackets,
+    /// which phase two decodes into `data`.
+    span: Option<&'a str>,
+    /// `None` when absent or not an array. On the element-wise route an
+    /// element that is not a number reads as NaN and sets `non_number`,
+    /// so it still counts toward the declared shape.
     data: Option<Vec<f32>>,
     non_number: bool,
 }
 
-impl RawStore {
-    /// Reads the `store` value. Content problems are kept for
-    /// [`RawStore::into_store`], so a grammar error later in the document
-    /// still takes precedence.
-    fn read(r: &mut Reader<'_>) -> Result<RawStore, JsonError> {
+/// Walks the whole document once, taking each `data` array by `route`.
+/// Content problems are kept for [`decode_checkpoint`], so a grammar
+/// error later in the document still takes precedence.
+fn walk(text: &str, route: Route) -> Result<RawDoc<'_>, JsonError> {
+    let mut doc = RawDoc {
+        config: None,
+        store: None,
+    };
+    let mut r = Reader::new(text);
+    if r.peek() == Some(Kind::Obj) {
+        r.object(|r, key| {
+            match key {
+                "config" => doc.config = Some(r.value()?),
+                "store" => doc.store = Some(RawStore::read(r, route)?),
+                _ => drop(r.value()?),
+            }
+            Ok(())
+        })?;
+    } else {
+        r.value()?;
+    }
+    r.finish()?;
+    Ok(doc)
+}
+
+/// Reads the document's tensor data by spans when it can and element by
+/// element otherwise (see the module docs), and says which route it took.
+fn read_checkpoint(text: &str) -> (Result<RawDoc<'_>, JsonError>, Route) {
+    if let Ok(mut doc) = walk(text, Route::Spans) {
+        if doc.decode_spans() {
+            return (Ok(doc), Route::Spans);
+        }
+    }
+    (walk(text, Route::Elements), Route::Elements)
+}
+
+impl RawDoc<'_> {
+    /// Phase two: decodes every span on all cores, one tensor per claim.
+    /// `false` if a span holds anything but comma-separated number
+    /// literals.
+    fn decode_spans(&mut self) -> bool {
+        let Some(tensors) = self.store.as_mut().and_then(|s| s.tensors.as_mut()) else {
+            return true;
+        };
+        let spans: Vec<&str> = tensors.iter().filter_map(|t| t.span).collect();
+        let decoded =
+            crate::par::par_map_batched(&spans, 0, 1, || (), |(), span| decode_span(span));
+        let mut decoded = decoded.into_iter();
+        for tensor in tensors.iter_mut().filter(|t| t.span.is_some()) {
+            match decoded.next().flatten() {
+                Some(data) => tensor.data = Some(data),
+                None => return false,
+            }
+        }
+        true
+    }
+}
+
+impl<'a> RawStore<'a> {
+    fn read(r: &mut Reader<'a>, route: Route) -> Result<RawStore<'a>, JsonError> {
         let mut raw = RawStore::default();
         if r.peek() != Some(Kind::Obj) {
             r.value()?;
@@ -245,7 +339,7 @@ impl RawStore {
                 "tensors" if r.peek() == Some(Kind::Arr) => {
                     let mut tensors = Vec::new();
                     r.array(|r| {
-                        tensors.push(RawTensor::read(r)?);
+                        tensors.push(RawTensor::read(r, route)?);
                         Ok(())
                     })?;
                     raw.tensors = Some(tensors);
@@ -257,8 +351,8 @@ impl RawStore {
         Ok(raw)
     }
 
-    /// Checks the streamed store in the order the fields are declared
-    /// and builds the [`ParamStore`].
+    /// Checks the walked store in the order the fields are declared and
+    /// builds the [`ParamStore`].
     fn into_store(self) -> Result<ParamStore, PersistError> {
         let names = self
             .names
@@ -310,8 +404,8 @@ impl RawStore {
     }
 }
 
-impl RawTensor {
-    fn read(r: &mut Reader<'_>) -> Result<RawTensor, JsonError> {
+impl<'a> RawTensor<'a> {
+    fn read(r: &mut Reader<'a>, route: Route) -> Result<RawTensor<'a>, JsonError> {
         let mut raw = RawTensor::default();
         if r.peek() != Some(Kind::Obj) {
             r.value()?;
@@ -321,6 +415,9 @@ impl RawTensor {
             match key {
                 "rows" => raw.rows = Some(r.value()?),
                 "cols" => raw.cols = Some(r.value()?),
+                "data" if r.peek() == Some(Kind::Arr) && route == Route::Spans => {
+                    raw.span = Some(r.flat_array()?);
+                }
                 "data" if r.peek() == Some(Kind::Arr) => {
                     let mut data = Vec::new();
                     r.array(|r| {
@@ -350,91 +447,216 @@ impl RawTensor {
     }
 }
 
-/// Decodes a checkpoint document in one pass over `text`. The config and
-/// the parameter names stay small [`Json`] values; tensor data is never
-/// built as a tree. Any grammar error (including duplicate keys, nesting
-/// depth and trailing bytes) wins over a content error, wherever each
-/// sits in the document.
-fn decode_checkpoint(text: &str) -> Result<(ReBertConfig, ParamStore), PersistError> {
-    let mut config = None;
-    let mut store = None;
-    let mut r = Reader::new(text);
-    let read = if r.peek() == Some(Kind::Obj) {
-        r.object(|r, key| {
-            match key {
-                "config" => config = Some(r.value()?),
-                "store" => store = Some(RawStore::read(r)?),
-                _ => drop(r.value()?),
+/// Moves `i` past JSON whitespace.
+fn skip_ws(b: &[u8], mut i: usize) -> usize {
+    while matches!(b.get(i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        i += 1;
+    }
+    i
+}
+
+/// Decodes the text between a flat array's brackets into a buffer sized
+/// to its literal count, or `None` unless it is comma-separated JSON
+/// number literals (JSON whitespace allowed around each) or whitespace
+/// alone.
+fn decode_span(span: &str) -> Option<Vec<f32>> {
+    let b = span.as_bytes();
+    let mut i = skip_ws(b, 0);
+    if i == b.len() {
+        return Some(Vec::new());
+    }
+    let count = b.iter().filter(|&&c| c == b',').count() + 1;
+    let mut data = Vec::with_capacity(count);
+    loop {
+        let start = i;
+        data.push(match scan_number(b, &mut i) {
+            Literal::Exact(v) => v,
+            Literal::Slow => span[start..i].parse().ok()?,
+            Literal::Invalid => return None,
+        });
+        i = skip_ws(b, i);
+        match b.get(i) {
+            None => break,
+            Some(b',') => i = skip_ws(b, i + 1),
+            Some(_) => return None,
+        }
+    }
+    debug_assert_eq!(data.len(), count, "one literal between commas");
+    Some(data)
+}
+
+/// `10^k` for `k` in `0..=22`, the powers of ten an `f64` holds exactly.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// What the one-pass decoder makes of a literal.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Literal {
+    /// Decoded on Clinger's exact `f64` path.
+    Exact(f32),
+    /// A JSON number off that path: more than 19 significant digits, a
+    /// mantissa above 2^53, a decimal exponent beyond ±22, or an `f64`
+    /// on an `f32` rounding midpoint. `str::parse` decodes it.
+    Slow,
+    /// Not a JSON number.
+    Invalid,
+}
+
+/// Decodes one JSON number literal to exactly the `f32` `str::parse`
+/// gives, or `None` if `literal` is not a JSON number: the per-literal
+/// view of [`decode_span`] that the property tests hold to `str::parse`.
+#[cfg(test)]
+fn decode_f32(literal: &str) -> Option<f32> {
+    let mut end = 0;
+    match scan_number(literal.as_bytes(), &mut end) {
+        _ if end != literal.len() => None,
+        Literal::Exact(v) => Some(v),
+        Literal::Slow => literal.parse().ok(),
+        Literal::Invalid => None,
+    }
+}
+
+/// Reads the JSON number (`-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`)
+/// that starts at `b[*i]` in one pass, leaving `*i` at its end, and
+/// decodes it on Clinger's exact path when that applies. There the
+/// mantissa (at most 19 significant digits, at most 2^53) and the power
+/// of ten (at most 10^22) are exact `f64`s, so one multiply or divide
+/// rounds the literal's value correctly to `f64`. Rounding that to `f32`
+/// is correct too unless it landed on an `f32` midpoint, where the
+/// literal may lie on either side of it (see
+/// `midpoint_rounding_goes_to_str_parse`).
+fn scan_number(b: &[u8], i: &mut usize) -> Literal {
+    /// Appends a run of digits to `mantissa`, wrapping past 19 digits
+    /// (the caller counts them), and returns the run's end.
+    fn digit_run(b: &[u8], mut j: usize, mantissa: &mut u64) -> usize {
+        while let Some(&c @ b'0'..=b'9') = b.get(j) {
+            *mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
+            j += 1;
+        }
+        j
+    }
+    let mut j = *i;
+    let negative = b.get(j) == Some(&b'-');
+    j += usize::from(negative);
+    let (mut mantissa, mut digits, mut exp) = (0u64, 0usize, 0i64);
+    match b.get(j) {
+        Some(b'0') => j += 1,
+        Some(b'1'..=b'9') => {
+            let start = j;
+            j = digit_run(b, j, &mut mantissa);
+            digits = j - start;
+        }
+        _ => return Literal::Invalid,
+    }
+    if b.get(j) == Some(&b'.') {
+        let start = j + 1;
+        j = start;
+        if mantissa == 0 {
+            // Leading zeros only move the exponent.
+            while b.get(j) == Some(&b'0') {
+                j += 1;
             }
-            Ok(())
-        })
+        }
+        let significant = j;
+        j = digit_run(b, j, &mut mantissa);
+        if j == start {
+            return Literal::Invalid;
+        }
+        digits += j - significant;
+        exp -= (j - start) as i64;
+    }
+    if matches!(b.get(j), Some(b'e' | b'E')) {
+        j += 1;
+        let negative_exp = b.get(j) == Some(&b'-');
+        j += usize::from(matches!(b.get(j), Some(b'+' | b'-')));
+        let start = j;
+        let mut e = 0i64;
+        while let Some(&c @ b'0'..=b'9') = b.get(j) {
+            // Saturates far beyond any exponent the exact path takes.
+            e = (e * 10 + i64::from(c - b'0')).min(1 << 40);
+            j += 1;
+        }
+        if j == start {
+            return Literal::Invalid;
+        }
+        exp += if negative_exp { -e } else { e };
+    }
+    *i = j;
+    if digits > 19 || mantissa > 1 << 53 || exp.unsigned_abs() > 22 {
+        return Literal::Slow;
+    }
+    let power = POW10[exp.unsigned_abs() as usize];
+    let v = if exp < 0 {
+        mantissa as f64 / power
     } else {
-        r.value().map(drop)
+        mantissa as f64 * power
     };
-    read.and_then(|()| r.finish())
+    // The 29 low bits an `f64` drops on the way to `f32` (every nonzero
+    // value here, 1e-22 to 2^53 · 1e22, is a normal `f32`).
+    if v.to_bits() & ((1 << 29) - 1) == 1 << 28 {
+        return Literal::Slow;
+    }
+    let v = v as f32;
+    Literal::Exact(if negative { -v } else { v })
+}
+
+/// Decodes a checkpoint document (see the module docs for the two
+/// phases and the fallback). The config and the parameter names stay
+/// small [`Json`] values; tensor data is never built as a tree. Any
+/// grammar error (including duplicate keys, nesting depth and trailing
+/// bytes) wins over a content error, wherever each sits in the document.
+fn decode_checkpoint(text: &str) -> Result<(ReBertConfig, ParamStore), PersistError> {
+    let doc = read_checkpoint(text)
+        .0
         .map_err(|e| PersistError::Format(e.to_string()))?;
-    let config = decode_config(config.as_ref().ok_or_else(|| format_err("config"))?)?;
-    let store = store.ok_or_else(|| format_err("store"))?.into_store()?;
+    let config = decode_config(doc.config.as_ref().ok_or_else(|| format_err("config"))?)?;
+    let store = doc.store.ok_or_else(|| format_err("store"))?.into_store()?;
     Ok((config, store))
 }
 
-/// Verifies that `store` matches the parameter layout a fresh model
-/// built from `fresh` would register: same count, and for every slot the
-/// same name and tensor shape.
-pub(crate) fn validate_store(fresh: &ReBertModel, store: &ParamStore) -> Result<(), PersistError> {
-    let expected = fresh.store();
-    if store.len() != expected.len() {
-        return Err(PersistError::Shape(format!(
-            "checkpoint holds {} parameter tensors but the stored config \
-             (vocab {}, hidden {}, {} heads, {} layers) requires {}",
-            store.len(),
-            fresh.vocab().len(),
-            fresh.config().bert.d_model,
-            fresh.config().bert.n_heads,
-            fresh.config().bert.n_layers,
-            expected.len()
-        )));
-    }
-    for (id, name, want) in expected.iter() {
-        let got = store.get(id);
-        if store.name(id) != name {
-            return Err(PersistError::Shape(format!(
-                "parameter {} is named `{}` in the checkpoint but the \
-                 config registers `{name}` at that slot",
-                id.index(),
-                store.name(id)
-            )));
-        }
-        if got.shape() != want.shape() {
-            return Err(PersistError::Shape(format!(
-                "parameter `{name}` has shape {:?} in the checkpoint but \
-                 the config requires {:?}",
-                got.shape(),
-                want.shape()
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Rebuilds a model from an already-decoded config + store, validating
-/// shapes first (shared by [`load_model`] and tests).
+/// Builds the model the stored config describes around the stored
+/// tensors, checking each slot's name and shape against the ones the
+/// config registers there (shared by [`load_model`] and tests).
 pub(crate) fn install_checkpoint(
     config: ReBertConfig,
     store: ParamStore,
 ) -> Result<ReBertModel, PersistError> {
-    // Parameter registration order is deterministic for a given config,
-    // so a fresh model's ParamIds line up with the stored tensors.
-    let mut model = ReBertModel::new(config, 0);
-    validate_store(&model, &store)?;
-    model.set_store(store);
+    let mut loaded = Loaded::new(store);
+    let model = ReBertModel::build(config, &mut loaded);
+    loaded.finish(model.store()).map_err(|e| match e {
+        LayoutError::Count { stored, registered } => PersistError::Shape(format!(
+            "checkpoint holds {stored} parameter tensors but the stored config \
+             (vocab {}, hidden {}, {} heads, {} layers) requires {registered}",
+            model.vocab().len(),
+            model.config().bert.d_model,
+            model.config().bert.n_heads,
+            model.config().bert.n_layers,
+        )),
+        LayoutError::Name {
+            slot,
+            stored,
+            registered,
+        } => PersistError::Shape(format!(
+            "parameter {slot} is named `{stored}` in the checkpoint but the \
+             config registers `{registered}` at that slot"
+        )),
+        LayoutError::Shape {
+            name,
+            stored,
+            registered,
+        } => PersistError::Shape(format!(
+            "parameter `{name}` has shape {stored:?} in the checkpoint but \
+             the config requires {registered:?}"
+        )),
+    })?;
     Ok(model)
 }
 
 /// Loads a model saved by [`save_model`]: reconstructs the architecture
-/// from the stored configuration, validates that every stored tensor
-/// matches the shape that architecture registers, and installs the
-/// parameters.
+/// from the stored configuration around the stored tensors, checking
+/// that each has the name and shape that architecture registers.
 ///
 /// # Errors
 ///
@@ -655,6 +877,40 @@ mod tests {
     fn streaming_load(text: &str) -> Result<ReBertModel, PersistError> {
         let (config, store) = decode_checkpoint(text)?;
         install_checkpoint(config, store)
+    }
+
+    /// Whether `text` should decode by spans: it parses, and every `data`
+    /// array the loader reaches holds numbers only.
+    fn expect_spans(text: &str) -> bool {
+        let Ok(doc) = Json::parse(text) else {
+            return false;
+        };
+        let tensors = doc
+            .get("store")
+            .and_then(|s| s.get("tensors"))
+            .and_then(Json::as_array)
+            .unwrap_or_default();
+        tensors
+            .iter()
+            .filter_map(|t| t.get("data").and_then(Json::as_array))
+            .all(|data| data.iter().all(|v| matches!(v, Json::Num(_))))
+    }
+
+    /// Asserts that `text` took the route [`expect_spans`] predicts, and
+    /// that every tensor buffer it decoded is exactly its length.
+    fn check_route(case: &str, text: &str) -> Route {
+        let (doc, route) = read_checkpoint(text);
+        let want = if expect_spans(text) {
+            Route::Spans
+        } else {
+            Route::Elements
+        };
+        assert_eq!(route, want, "{case}");
+        let tensors = doc.ok().and_then(|d| d.store).and_then(|s| s.tensors);
+        for data in tensors.iter().flatten().filter_map(|t| t.data.as_ref()) {
+            assert_eq!(data.capacity(), data.len(), "{case}: decode buffer");
+        }
+        route
     }
 
     /// Asserts that both loaders accept `text` with bitwise-equal stores
@@ -939,10 +1195,24 @@ mod tests {
 
     const VARIANT_KINDS: usize = 20;
 
+    /// Both loaders agree on every variant, and each variant takes the
+    /// route its text calls for: spans for every accepted document and
+    /// for well-formed ones with a content error, element by element for
+    /// the rest.
     #[test]
     fn streaming_loader_matches_the_tree_decode() {
         let mut rng = SplitMix64(0x5eed_1a4d);
-        let (mut accepted, mut rejected) = (0, 0);
+        // [span route, element route] × [accepted, rejected]
+        let mut seen = [[0; 2]; 2];
+        let mut check = |case: &str, text: &str| {
+            let route = check_route(case, text);
+            let accepted = check_parity(case, text);
+            assert!(
+                !accepted || route == Route::Spans,
+                "{case}: accepted off the span route"
+            );
+            seen[usize::from(route == Route::Elements)][usize::from(!accepted)] += 1;
+        };
         for seed in [3, 11] {
             let model = ReBertModel::new(ReBertConfig::tiny(), seed);
             let text = encode_checkpoint(model.config(), model.store());
@@ -951,12 +1221,10 @@ mod tests {
             for kind in 0..VARIANT_KINDS {
                 for round in 0..12 {
                     let (name, variant) = variant(kind, &doc, &mut rng);
-                    let case = format!("tiny seed {seed}, {name} (round {round})");
-                    if check_parity(&case, &variant) {
-                        accepted += 1;
-                    } else {
-                        rejected += 1;
-                    }
+                    check(
+                        &format!("tiny seed {seed}, {name} (round {round})"),
+                        &variant,
+                    );
                 }
             }
             let loaded = streaming_load(&text).expect("saved checkpoint loads");
@@ -967,11 +1235,289 @@ mod tests {
         let doc = Json::parse(&encode_checkpoint(model.config(), model.store())).expect("parses");
         for kind in 0..VARIANT_KINDS {
             let (name, variant) = variant(kind, &doc, &mut rng);
-            check_parity(&format!("small, {name}"), &variant);
+            check(&format!("small, {name}"), &variant);
+        }
+        let [[spans_ok, spans_err], [elements_ok, elements_err]] = seen;
+        assert!(
+            spans_ok > 50 && spans_err > 100 && elements_err > 100 && elements_ok == 0,
+            "{seen:?}"
+        );
+    }
+
+    #[test]
+    fn layout_errors_read_as_before() {
+        let tiny = ReBertModel::new(ReBertConfig::tiny(), 1);
+        let mut deep = ReBertConfig::tiny();
+        deep.bert.n_layers += 1;
+        let err = install_checkpoint(deep, tiny.store().clone()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "model checkpoint shape error: checkpoint holds 24 parameter tensors but the \
+             stored config (vocab 13, hidden 16, 2 heads, 2 layers) requires 40"
+        );
+
+        let mut renamed = ParamStore::new();
+        let mut reshaped = ParamStore::new();
+        for (id, name, t) in tiny.store().iter() {
+            let slot = id.index();
+            renamed.add(if slot == 5 { "emb.bogus" } else { name }, t.clone());
+            let t = if slot == 7 {
+                Tensor::zeros(t.cols(), t.rows())
+            } else {
+                t.clone()
+            };
+            reshaped.add(name, t);
+        }
+        let err = install_checkpoint(ReBertConfig::tiny(), renamed).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "model checkpoint shape error: parameter 5 is named `emb.bogus` in the checkpoint \
+             but the config registers `bert.encoder.layer0.attn.q.b` at that slot"
+        );
+        let err = install_checkpoint(ReBertConfig::tiny(), reshaped).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "model checkpoint shape error: parameter `bert.encoder.layer0.attn.k.b` has shape \
+             (16, 1) in the checkpoint but the config requires (1, 16)"
+        );
+    }
+
+    // ---- the literal decoder against `str::parse::<f32>` ----
+
+    /// Asserts that `literal` decodes to exactly the bits `str::parse`
+    /// gives, and returns the path it took.
+    fn check_literal(literal: &str) -> Literal {
+        let want = literal.parse::<f32>().expect("a JSON number parses");
+        let got = decode_f32(literal);
+        assert_eq!(
+            got.map(f32::to_bits),
+            Some(want.to_bits()),
+            "`{literal}`: decoded {got:?}, str::parse {want}"
+        );
+        let mut end = 0;
+        scan_number(literal.as_bytes(), &mut end)
+    }
+
+    /// `x` in each of the forms the property draws: `{}`, `{:e}`, `{:E}`
+    /// with an explicit `E+`, and a long `{:.12}`.
+    fn forms(x: f32) -> [String; 4] {
+        let upper = format!("{x:E}");
+        let upper = if upper.contains("E-") {
+            upper
+        } else {
+            upper.replace('E', "E+")
+        };
+        [format!("{x}"), format!("{x:e}"), upper, format!("{x:.12}")]
+    }
+
+    /// A JSON number literal of 15 to 40 significant digits, sometimes
+    /// behind `0.` and leading zeros, with an optional signed exponent.
+    fn long_literal(rng: &mut SplitMix64) -> String {
+        let mut out = String::from(["", "-"][rng.below(2)]);
+        let n = 15 + rng.below(26);
+        let digits: String = (0..n)
+            .map(|i| {
+                char::from(b'0' + (rng.below(9 + usize::from(i > 0)) + usize::from(i == 0)) as u8)
+            })
+            .collect();
+        if rng.below(4) == 0 {
+            out.push_str("0.");
+            out.push_str(&"0".repeat(rng.below(12)));
+            out.push_str(&digits);
+        } else {
+            let point = 1 + rng.below(n);
+            out.push_str(&digits[..point]);
+            if point < n {
+                out.push('.');
+                out.push_str(&digits[point..]);
+            }
+        }
+        if rng.below(2) == 0 {
+            let e = rng.below(90) as i64 - 45;
+            out.push_str(&format!("{}{e}", ["e", "E"][rng.below(2)]));
+        }
+        out
+    }
+
+    #[test]
+    fn literal_decoder_matches_str_parse_on_a_saved_checkpoint() {
+        let model = ReBertModel::new(ReBertConfig::small(), 5);
+        let doc = Json::parse(&encode_checkpoint(model.config(), model.store())).expect("parses");
+        let tensors = doc
+            .get("store")
+            .and_then(|s| s.get("tensors"))
+            .and_then(Json::as_array);
+        let (mut literals, mut exact) = (0, 0);
+        for tensor in tensors.expect("tensors") {
+            for v in tensor.get("data").and_then(Json::as_array).expect("data") {
+                let Json::Num(literal) = v else {
+                    panic!("saved scalar {v}");
+                };
+                literals += 1;
+                exact += usize::from(matches!(check_literal(literal), Literal::Exact(_)));
+            }
+        }
+        assert_eq!(literals, model.parameter_count());
+        // Saved weights are short literals: nearly all take the exact path.
+        assert!(exact * 100 > literals * 99, "{exact} of {literals} exact");
+    }
+
+    #[test]
+    fn literal_decoder_matches_str_parse_on_a_million_literals() {
+        let mut rng = SplitMix64(0xdec0_de32);
+        let (mut exact, mut slow) = (0, 0);
+        let mut literals = 0;
+        while literals < 1_000_000 {
+            // Raw bit patterns reach every exponent; weight-sized values
+            // are what checkpoints hold.
+            let x = if literals % 2 == 0 {
+                f32::from_bits(rng.next() as u32)
+            } else {
+                let unit = (rng.next() >> 40) as f32 / (1u64 << 24) as f32;
+                let sign = [1.0, -1.0][rng.below(2)];
+                sign * unit * 10f32.powi(rng.below(12) as i32 - 8)
+            };
+            if !x.is_finite() {
+                continue;
+            }
+            let long = long_literal(&mut rng);
+            for literal in forms(x).iter().chain([&long]) {
+                match check_literal(literal) {
+                    Literal::Exact(_) => exact += 1,
+                    Literal::Slow => slow += 1,
+                    Literal::Invalid => panic!("`{literal}` rejected"),
+                }
+                literals += 1;
+            }
         }
         assert!(
-            accepted > 50 && rejected > 200,
-            "{accepted} accepted, {rejected} rejected"
+            exact > 300_000 && slow > 300_000,
+            "{exact} exact, {slow} slow"
         );
+    }
+
+    #[test]
+    fn literal_decoder_edge_cases_match_str_parse() {
+        for literal in [
+            "0",
+            "-0",
+            "0e0",
+            "-0.0",
+            "0E-0",
+            "-0e+5",
+            "0.000",
+            "0e999999999999",
+            "1e-45",
+            "1.4e-45",
+            "7e-46",
+            "1e-46",
+            "1.1754942e-38",
+            "1.17549435e-38",
+            "3.4028235e38",
+            "3.4028234e38",
+            "3.4028236e38",
+            "3.40282357e38",
+            "1e39",
+            "-1e39",
+            "1e-99999999",
+            "9007199254740993",
+            "9007199254740992e-5",
+            "1e22",
+            "1e23",
+            "1e-22",
+            "1e-23",
+        ] {
+            check_literal(literal);
+        }
+        // Subnormals, the smallest normals, and f32::MAX and its
+        // neighbours, in every form.
+        for bits in [
+            1u32,
+            2,
+            3,
+            0x7_ffff,
+            0x40_0000,
+            0x7f_fffe,
+            0x7f_ffff,
+            0x80_0000,
+            0x80_0001,
+            0x7f7f_fffd,
+            0x7f7f_fffe,
+            0x7f7f_ffff,
+        ] {
+            for x in [f32::from_bits(bits), -f32::from_bits(bits)] {
+                for literal in forms(x) {
+                    check_literal(&literal);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn midpoint_rounding_goes_to_str_parse() {
+        // 2^63 + 2^39 lies halfway between the f32s 2^63 and 2^63 + 2^40.
+        // This literal is 304 above it, yet rounds onto it in f64, where
+        // a tie to even would then give 2^63: one bit short.
+        let literal = "922337258661059e4";
+        let mut end = 0;
+        assert_eq!(scan_number(literal.as_bytes(), &mut end), Literal::Slow);
+        assert_eq!(decode_f32(literal).map(f32::to_bits), Some(0x5f00_0001));
+        assert_eq!(
+            ((922_337_258_661_059.0f64 * 1e4) as f32).to_bits(),
+            0x5f00_0000
+        );
+        check_literal(literal);
+        // Exact decimal midpoints between adjacent f32s, and the shortest
+        // f64 literal of each: str::parse breaks the tie.
+        assert_eq!(scan_number(b"16777217", &mut 0), Literal::Slow);
+        assert_eq!(decode_f32("16777217"), Some(16_777_216.0));
+        let mut rng = SplitMix64(0x0d1d_9017);
+        let mut slow = 0;
+        for _ in 0..20_000 {
+            let lo = f32::from_bits(rng.next() as u32 & 0x7f7f_fffe);
+            let mid = (f64::from(lo) + f64::from(f32::from_bits(lo.to_bits() + 1))) / 2.0;
+            for literal in [
+                format!("{mid}"),
+                format!("{mid:e}"),
+                format!("{:.0}", mid * 1e6),
+            ] {
+                slow += usize::from(check_literal(&literal) == Literal::Slow);
+            }
+        }
+        assert!(slow > 20_000, "{slow} midpoints went to str::parse");
+    }
+
+    #[test]
+    fn literal_decoder_rejects_what_json_rejects() {
+        for literal in [
+            "01", "1.", ".5", "+1", "1e", "-", "", "1 2", "NaN", "inf", "-inf", "infinity", "1e+",
+            "1.e5", "-01", "0x1", "1_0", " 1", "1 ", "--1", "1e5.5", "1E-", "-.5", "\u{661}",
+        ] {
+            assert_eq!(decode_f32(literal), None, "{literal:?}");
+        }
+    }
+
+    #[test]
+    fn span_decoder_splits_on_commas_into_an_exact_buffer() {
+        assert_eq!(decode_span(""), Some(vec![]));
+        assert_eq!(decode_span(" \r\n\t"), Some(vec![]));
+        let data = decode_span(" 1 ,\n-0.5e1\t,0,  2E+0 ").expect("numbers");
+        assert_eq!(data, [1.0, -5.0, 0.0, 2.0]);
+        assert_eq!(data.capacity(), data.len());
+        for span in [
+            "1,",
+            ",1",
+            "1,,2",
+            "1 2",
+            "null",
+            "1,\"2\"",
+            "[1]",
+            "1;2",
+            "1,\u{a0}2",
+            ",",
+            "1,-",
+        ] {
+            assert_eq!(decode_span(span), None, "{span:?}");
+        }
     }
 }

@@ -136,6 +136,45 @@ fn score_pairs_thread_count_invariant() {
     }
 }
 
+/// Requests of 1..=40 pairs: the claim size shrinks with the pair count
+/// so even the smallest fan out, and a pair's bits must not depend on
+/// which worker scores it or alongside which other pairs.
+#[test]
+fn small_requests_are_thread_count_invariant() {
+    let mut rng = ChaCha20Rng::seed_from_u64(0x1FE4_0003);
+    let cfg = ReBertConfig::tiny();
+    let w = cfg.code_width;
+    let model = ReBertModel::new(cfg.clone(), 4);
+    let pairs: Vec<PairSequence> = (0..40)
+        .map(|_| {
+            let (a, b) = (gen_bit(&mut rng, 16), gen_bit(&mut rng, 16));
+            PairSequence::build(
+                &a,
+                &codes_for(a.len(), w),
+                &b,
+                &codes_for(b.len(), w),
+                w,
+                cfg.max_seq,
+            )
+        })
+        .collect();
+    let bits = |scores: Vec<f32>| scores.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+    for backend in Backend::ALL {
+        let all = bits(model.score_pairs_backend(&pairs, 1, backend));
+        for n in 1..=pairs.len() {
+            let base = bits(model.score_pairs_backend(&pairs[..n], 1, backend));
+            assert_eq!(base, all[..n], "{backend}: {n} pairs vs a prefix of 40");
+            for threads in [2usize, 3, 8] {
+                assert_eq!(
+                    bits(model.score_pairs_backend(&pairs[..n], threads, backend)),
+                    base,
+                    "{backend}: {n} pairs at {threads} threads"
+                );
+            }
+        }
+    }
+}
+
 /// Parity across the named configurations and ≥3 fixed seeds (the
 /// acceptance checklist's explicit matrix), exercised end to end through
 /// `recover`: the recovered assignment must not depend on the
