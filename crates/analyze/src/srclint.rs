@@ -355,10 +355,13 @@ pub fn lint_rust_source(file: &str, text: &str, request_path: bool) -> Report {
 
 /// Lints `root`: a single `.rs` file (all lints on, for fixtures), or a
 /// directory tree. Tree mode skips `target/`, `.git/`, `fixtures/`
-/// directories and `crates/sync` itself (the wrapper legitimately names
-/// the raw primitives it wraps), and scopes the lock-result-unwrap lint
-/// to `crates/serve` + `crates/registry` — the request path, where a
-/// poisoned lock wedges a daemon rather than one offline run.
+/// directories, `crates/sync` itself (the wrapper legitimately names
+/// the raw primitives it wraps), and every directory below `root` whose
+/// `Cargo.toml` opens a workspace of its own (such as `perfbench/`):
+/// Cargo ends the workspace there, so lint it by passing it as `root`.
+/// It scopes the lock-result-unwrap lint to `crates/serve` +
+/// `crates/registry` — the request path, where a poisoned lock wedges a
+/// daemon rather than one offline run.
 ///
 /// Diagnostics come back sorted by `(file, line)` so output is stable
 /// across filesystems.
@@ -399,8 +402,8 @@ pub fn lint_rust_tree(root: &Path) -> Result<Report, String> {
 }
 
 /// Recursively collects `.rs` files under `dir` as paths relative to
-/// `root`, skipping build output, VCS metadata, lint fixtures, and the
-/// sync wrapper crate.
+/// `root`, skipping build output, VCS metadata, lint fixtures, the sync
+/// wrapper crate, and nested workspaces.
 fn collect_rust_files(
     root: &Path,
     dir: &Path,
@@ -421,6 +424,14 @@ fn collect_rust_files(
             if name == "sync" && dir.file_name().is_some_and(|d| d == "crates") {
                 continue;
             }
+            let manifest = path.join("Cargo.toml");
+            if manifest.is_file() {
+                let text = std::fs::read_to_string(&manifest)
+                    .map_err(|e| format!("cannot read `{}`: {e}", manifest.display()))?;
+                if opens_workspace(&text) {
+                    continue;
+                }
+            }
             collect_rust_files(root, &path, out)?;
         } else if name.ends_with(".rs") {
             let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
@@ -428,6 +439,20 @@ fn collect_rust_files(
         }
     }
     Ok(())
+}
+
+/// Whether a `Cargo.toml` opens a workspace table of its own: a
+/// `[workspace]` or `[workspace.*]` header, spaces and a trailing `#`
+/// comment allowed. A member's `version.workspace = true`, or
+/// `workspace = true` under `[lints]`, is not one.
+fn opens_workspace(manifest: &str) -> bool {
+    manifest.lines().any(|line| {
+        let line = line.split('#').next().unwrap_or_default().trim();
+        line.strip_prefix('[')
+            .and_then(|l| l.strip_suffix(']'))
+            .and_then(|header| header.split('.').next())
+            .is_some_and(|table| table.trim() == "workspace")
+    })
 }
 
 #[cfg(test)]
@@ -544,9 +569,65 @@ fn f(x: &'static mut u8) {}
     }
 
     #[test]
+    fn the_walk_stops_at_a_nested_workspace_but_not_at_its_own_root() {
+        let root =
+            std::env::temp_dir().join(format!("rebert-srclint-boundary-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let store = "fn f(flag: &AtomicBool) {\n    flag.store(true, Ordering::Relaxed);\n}\n";
+        let tree = [
+            ("Cargo.toml", "[workspace]\nmembers = [\"member\"]\n"),
+            (
+                "member/Cargo.toml",
+                "[package]\nname = \"member\"\nversion.workspace = true\n\
+                 # not a header: [workspace]\n\n[lints]\nworkspace = true\n",
+            ),
+            ("member/src/lib.rs", store),
+            (
+                "nested/Cargo.toml",
+                "[package]\nname = \"nested\"\n\n [ workspace ] # a workspace of its own\n",
+            ),
+            ("nested/src/main.rs", store),
+            (
+                "shared/Cargo.toml",
+                "[workspace.package]\nversion = \"0.1.0\"\n",
+            ),
+            ("shared/src/lib.rs", store),
+        ];
+        for (rel, text) in tree {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().expect("has a parent")).expect("temp dir");
+            std::fs::write(&path, text).expect("write temp file");
+        }
+        let flagged = |dir: &Path| -> Vec<(String, &'static str)> {
+            lint_rust_tree(dir)
+                .expect("temp tree readable")
+                .diagnostics
+                .into_iter()
+                .map(|d| (d.file.unwrap_or_default(), d.code))
+                .collect()
+        };
+        let outer = flagged(&root);
+        let inner = flagged(&root.join("nested"));
+        let _ = std::fs::remove_dir_all(&root);
+        assert_eq!(
+            outer,
+            [(
+                "member/src/lib.rs".to_owned(),
+                codes::RELAXED_PUBLICATION_STORE
+            )],
+            "a member is linted; a nested workspace is not"
+        );
+        assert_eq!(
+            inner,
+            [("src/main.rs".to_owned(), codes::RELAXED_PUBLICATION_STORE)],
+            "a nested workspace passed as the root is linted"
+        );
+    }
+
+    #[test]
     fn the_workspace_itself_is_clean() {
         // The gate CI runs, as a unit test: every lint over every crate
-        // in this repository, denying warnings. CARGO_MANIFEST_DIR is
+        // in this workspace, denying warnings. CARGO_MANIFEST_DIR is
         // `crates/analyze`, so the workspace root is two levels up.
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
             .parent()

@@ -329,7 +329,9 @@ Run the concurrency-hygiene lints over Rust sources (default
 --root .): raw std::sync::{Mutex,RwLock,Condvar} outside the
 rebert-sync wrapper, Ordering::Relaxed stores, lock-result
 .unwrap()/.expect() on the serve/registry request path, and
-`static mut`. Suppress a finding with an inline
+`static mut`. The walk skips a directory below the root whose
+Cargo.toml opens a [workspace] of its own (perfbench/); pass
+it as --root to lint it. Suppress a finding with an inline
 `// rebert-lint: allow(<code>)` comment on the same or the
 preceding line. Exit semantics match `lint`; diagnostics
 carry file:line (also in --json).";
