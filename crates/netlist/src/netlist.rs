@@ -273,25 +273,31 @@ impl Netlist {
     /// brand-new net.
     pub fn add_net(&mut self, name: impl AsRef<str>) -> NetId {
         let name = name.as_ref();
-        let id = if self.names.find(name).is_none() {
-            self.names.push(name)
-        } else {
-            let mut cand = String::with_capacity(name.len() + 4);
-            let mut i = 1usize;
-            loop {
-                cand.clear();
-                write!(cand, "{name}_{i}").expect("writing to a String cannot fail");
-                if self.names.find(&cand).is_none() {
-                    break self.names.push(&cand);
-                }
-                i += 1;
-            }
-        };
-        // Placeholder; a real driver must be attached before validate().
-        // `driven` distinguishes "not yet driven" from an explicit constant.
-        self.drivers.push(Driver::ConstZero);
-        self.driven.push(false);
-        NetId(id)
+        let (mut id, mut added) = self.net_named(name);
+        let mut cand = String::new();
+        let mut i = 1usize;
+        while !added {
+            cand.clear();
+            write!(cand, "{name}_{i}").expect("writing to a String cannot fail");
+            (id, added) = self.net_named(&cand);
+            i += 1;
+        }
+        id
+    }
+
+    /// The net named `name`, and whether this call created it: a fresh
+    /// undriven net with exactly that name when none has it. One lookup
+    /// in the name table either way.
+    pub(crate) fn net_named(&mut self, name: &str) -> (NetId, bool) {
+        let (id, added) = self.names.intern(name);
+        if added {
+            // Placeholder; a real driver must be attached before
+            // validate(). `driven` distinguishes "not yet driven" from an
+            // explicit constant.
+            self.drivers.push(Driver::ConstZero);
+            self.driven.push(false);
+        }
+        (NetId(id), added)
     }
 
     /// Declares a primary input and returns its net.

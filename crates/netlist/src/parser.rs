@@ -14,6 +14,17 @@
 //! `DFF(d)` declares a flip-flop whose `q` output is the left-hand name.
 //! Nets may be referenced before they are defined; undefined references are
 //! reported at the end of parsing.
+//!
+//! [`parse_bench`] reads the text in one scan over its bytes, testing
+//! eight at a time for the bytes a line stops at. The delimiters
+//! `\n # = ( ) ,` are ASCII, and ASCII bytes never occur inside a
+//! multi-byte UTF-8 sequence, so every cut it makes is on a character
+//! boundary, and every span is trimmed exactly as [`str::trim`] trims it,
+//! whatever the text holds. The scan declares the inputs and keeps each
+//! definition as spans of the text; the definitions are built once every
+//! input is declared, since inputs take the first net ids. Each written
+//! name is hashed once and found or stored with one probe of the
+//! netlist's name table.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -88,9 +99,15 @@ impl std::error::Error for ParseError {
 /// processed, in statement order. Names are copied once, into the
 /// netlist's name store.
 ///
+/// The cost is one scan over the bytes, one hash and one table probe per
+/// written name, and one allocation per gate for its inputs. The
+/// definitions wait in a vector of spans until the scan ends.
+///
 /// # Errors
 ///
-/// Returns a [`ParseError`] describing the first offending line.
+/// Returns a [`ParseError`] describing the first offending line: any
+/// syntax error or duplicate `INPUT` first, then the first definition
+/// that cannot be built, then the first `OUTPUT` of an undefined net.
 ///
 /// # Examples
 ///
@@ -110,75 +127,257 @@ impl std::error::Error for ParseError {
 /// # }
 /// ```
 pub fn parse_bench(name: &str, src: &str) -> Result<Netlist, ParseError> {
-    let mut nl = Netlist::new(name);
-    let mut names = UserNames::default();
-    let mut const_name = String::new();
+    let mut reader = Reader::new(name);
     // Statements that may reference nets defined later, borrowed from
     // `src` and processed once every input is declared.
     let mut outputs: Vec<(usize, &str)> = Vec::new();
-    let mut defs: Vec<Def<'_>> = Vec::new();
-
-    for (lineno, raw) in src.lines().enumerate() {
-        let line = lineno + 1;
-        let text = raw.split('#').next().unwrap_or("").trim();
-        if text.is_empty() {
-            continue;
-        }
-        let syntax = || ParseError::Syntax {
-            line,
-            text: text.to_owned(),
-        };
-        if let Some(rest) = text.strip_prefix("INPUT(") {
-            let n = rest.strip_suffix(')').ok_or_else(syntax)?.trim();
-            if names.lookup(&nl, n).is_some() {
-                return Err(ParseError::Netlist {
-                    line,
-                    source: NetlistError::DuplicateNet(n.to_owned()),
-                });
+    let mut defs: Vec<(usize, Def<'_>)> = Vec::new();
+    let statements = Statements {
+        src,
+        at: 0,
+        line: 0,
+    };
+    for stmt in statements {
+        match stmt? {
+            (line, Stmt::Input(n)) => {
+                let (id, added) = reader.nl.net_named(n);
+                if !added {
+                    return Err(ParseError::Netlist {
+                        line,
+                        source: NetlistError::DuplicateNet(n.to_owned()),
+                    });
+                }
+                reader.nl.promote_to_input(id);
             }
-            nl.add_input(n);
-            continue;
+            (line, Stmt::Output(n)) => outputs.push((line, n)),
+            (line, Stmt::Def(def)) => defs.push((line, def)),
         }
-        if let Some(rest) = text.strip_prefix("OUTPUT(") {
-            let n = rest.strip_suffix(')').ok_or_else(syntax)?.trim();
-            outputs.push((line, n));
-            continue;
-        }
-        // lhs = OP(arg, ...)  |  lhs = CONST0 / CONST1
-        let (lhs, rhs) = text.split_once('=').ok_or_else(syntax)?;
-        let rhs = rhs.trim();
-        let (op, args) = if rhs == "CONST0" || rhs == "CONST1" {
-            (rhs, "")
-        } else {
-            let (op, args) = rhs.split_once('(').ok_or_else(syntax)?;
-            (op.trim(), args.strip_suffix(')').ok_or_else(syntax)?)
-        };
-        defs.push(Def {
+    }
+    for (line, def) in defs {
+        reader.define(line, def)?;
+    }
+    for (line, name) in outputs {
+        let id = reader.lookup(name).ok_or_else(|| ParseError::Syntax {
             line,
-            lhs: lhs.trim(),
-            op,
-            args,
-        });
+            text: format!("OUTPUT({name}) references undefined net"),
+        })?;
+        reader.nl.add_output(id);
+    }
+    Ok(reader.nl)
+}
+
+/// One statement, its spans trimmed.
+enum Stmt<'src> {
+    Input(&'src str),
+    Output(&'src str),
+    Def(Def<'src>),
+}
+
+/// A `lhs = op(args)` definition; `args` is the raw text between the
+/// parentheses (empty for `CONST0`/`CONST1`).
+struct Def<'src> {
+    lhs: &'src str,
+    op: &'src str,
+    args: &'src str,
+}
+
+/// The statements of `.bench` text in order, each with its 1-based line
+/// number; a line that is not a statement yields its syntax error.
+struct Statements<'src> {
+    src: &'src str,
+    /// Byte offset of the next line.
+    at: usize,
+    /// Number of lines read so far.
+    line: usize,
+}
+
+/// The first byte at or after `at` that a line scan stops at — `\n`,
+/// `#`, `=` or `(` — or the end of `bytes`. Eight bytes are tested at a
+/// time: `(x - 0x01…) & !x & 0x80…` sets the high bit of `x`'s lowest
+/// zero lane, and of no lane below it (a borrow only reaches the lanes
+/// above a zero lane), so the lowest set bit over the four stop bytes is
+/// the first stop.
+fn next_stop(bytes: &[u8], mut at: usize) -> usize {
+    const LANES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let zero_lanes = |x: u64| x.wrapping_sub(LANES) & !x & HIGH;
+    while let Some(word) = bytes.get(at..at + 8) {
+        let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let stops = [b'\n', b'#', b'=', b'(']
+            .iter()
+            .fold(0, |m, &b| m | zero_lanes(word ^ (LANES * u64::from(b))));
+        if stops != 0 {
+            return at + stops.trailing_zeros() as usize / 8;
+        }
+        at += 8;
+    }
+    bytes[at..]
+        .iter()
+        .position(|b| matches!(b, b'\n' | b'#' | b'=' | b'('))
+        .map_or(bytes.len(), |p| at + p)
+}
+
+impl<'src> Iterator for Statements<'src> {
+    type Item = Result<(usize, Stmt<'src>), ParseError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let bytes = self.src.as_bytes();
+        while self.at < bytes.len() {
+            // One pass over the line up to `\n` or `#` finds the first
+            // `=` and the first `(` after it.
+            let start = self.at;
+            let (mut eq, mut paren) = (None, None);
+            let mut end = next_stop(bytes, start);
+            while let Some(&b) = bytes.get(end) {
+                match b {
+                    b'\n' | b'#' => break,
+                    b'=' => {
+                        eq.get_or_insert(end);
+                    }
+                    _ => {
+                        if eq.is_some() {
+                            paren.get_or_insert(end);
+                        }
+                    }
+                }
+                end = next_stop(bytes, end + 1);
+            }
+            self.at = match bytes.get(end) {
+                Some(b'#') => bytes[end..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(bytes.len(), |p| end + p + 1),
+                _ => end + 1,
+            };
+            self.line += 1;
+            let text = trim(&self.src[start..end]);
+            if !text.is_empty() {
+                // Where `text` starts in the source, to place `eq` and
+                // `paren` in it.
+                let at = text.as_ptr() as usize - self.src.as_ptr() as usize;
+                let stmt = statement(text, eq.map(|e| e - at), paren.map(|p| p - at));
+                return Some(
+                    stmt.map(|s| (self.line, s))
+                        .ok_or_else(|| ParseError::Syntax {
+                            line: self.line,
+                            text: text.to_owned(),
+                        }),
+                );
+            }
+        }
+        None
+    }
+}
+
+/// The statement `text` (trimmed, non-empty) holds, or `None` for a
+/// syntax error. `eq` is the offset of its first `=`, and `paren` of the
+/// first `(` after that.
+fn statement(text: &str, eq: Option<usize>, paren: Option<usize>) -> Option<Stmt<'_>> {
+    if let Some(rest) = text.strip_prefix("INPUT(") {
+        return Some(Stmt::Input(trim(rest.strip_suffix(')')?)));
+    }
+    if let Some(rest) = text.strip_prefix("OUTPUT(") {
+        return Some(Stmt::Output(trim(rest.strip_suffix(')')?)));
+    }
+    // lhs = OP(arg, ...)  |  lhs = CONST0 / CONST1
+    let eq = eq?;
+    let lhs = trim(&text[..eq]);
+    let rhs = trim(&text[eq + 1..]);
+    if rhs == "CONST0" || rhs == "CONST1" {
+        return Some(Stmt::Def(Def {
+            lhs,
+            op: rhs,
+            args: "",
+        }));
+    }
+    let paren = paren?;
+    Some(Stmt::Def(Def {
+        lhs,
+        op: trim(&text[eq + 1..paren]),
+        args: text[paren + 1..].strip_suffix(')')?,
+    }))
+}
+
+/// [`str::trim`], with ASCII whitespace stripped byte by byte first. The
+/// other whitespace `str::trim` strips is all non-ASCII, so it only runs
+/// when a non-ASCII byte is left at an end.
+fn trim(s: &str) -> &str {
+    let ws = |b: &u8| matches!(b, b'\t' | b'\n' | b'\x0b' | b'\x0c' | b'\r' | b' ');
+    let bytes = s.as_bytes();
+    let start = bytes.iter().position(|b| !ws(b)).unwrap_or(bytes.len());
+    let end = bytes.iter().rposition(|b| !ws(b)).map_or(start, |e| e + 1);
+    let t = &s[start..end];
+    match (t.as_bytes().first(), t.as_bytes().last()) {
+        (Some(&first), Some(&last)) if !first.is_ascii() || !last.is_ascii() => t.trim(),
+        _ => t,
+    }
+}
+
+/// The non-empty, trimmed arguments of an argument list.
+fn split_args(args: &str) -> impl Iterator<Item = &str> {
+    args.split(',').map(trim).filter(|a| !a.is_empty())
+}
+
+/// A gate mnemonic: its exact upper-case spelling first, then
+/// [`GateType::from_str`](std::str::FromStr)'s case-insensitive match.
+fn gate_type(op: &str) -> Option<GateType> {
+    Some(match op {
+        "AND" => GateType::And,
+        "OR" => GateType::Or,
+        "NAND" => GateType::Nand,
+        "NOR" => GateType::Nor,
+        "XOR" => GateType::Xor,
+        "XNOR" => GateType::Xnor,
+        "NOT" | "INV" => GateType::Not,
+        "BUF" | "BUFF" => GateType::Buf,
+        "MUX" => GateType::Mux,
+        _ => return op.parse().ok(),
+    })
+}
+
+/// Builds a netlist from `.bench` text, resolving written names on the
+/// netlist's own name store.
+///
+/// A written name means the net first created for it. That net carries
+/// the name itself unless an internal `__const_<line>` net, which text
+/// never resolves to, or a suffixed net already held it; then
+/// [`Netlist::add_net`] gave it the first free `{name}_{i}`, and
+/// `suffixed` maps the written name to it.
+struct Reader<'src> {
+    nl: Netlist,
+    /// Per net id, whether text never resolves to the net by its own
+    /// name: the internal constants and the suffixed nets. It is only as
+    /// long as the last such id needs, so it stays empty, and costs a
+    /// lookup nothing, until a constant or a name collision occurs.
+    foreign: Vec<bool>,
+    /// Written names whose net carries a `{name}_{i}` suffix.
+    suffixed: HashMap<&'src str, NetId>,
+}
+
+impl<'src> Reader<'src> {
+    fn new(name: &str) -> Self {
+        Reader {
+            nl: Netlist::new(name),
+            foreign: Vec::new(),
+            suffixed: HashMap::new(),
+        }
     }
 
-    for Def {
-        line,
-        lhs,
-        op,
-        args,
-    } in defs
-    {
+    /// Builds one definition read on `line`.
+    fn define(&mut self, line: usize, def: Def<'src>) -> Result<(), ParseError> {
+        let Def { lhs, op, args } = def;
         let at_line = |source| ParseError::Netlist { line, source };
-        let out = names.intern(&mut nl, lhs);
+        let out = self.intern(lhs);
         match op {
             "CONST0" | "CONST1" => {
                 // A constant drives an existing net through a BUF from an
                 // internal `__const_<line>` net, which user text never
                 // resolves to.
-                const_name.clear();
-                write!(const_name, "__const_{line}").expect("writing to a String cannot fail");
-                let c = nl.add_const(&const_name, op == "CONST1");
-                nl.add_gate(GateType::Buf, vec![c], out).map_err(at_line)?;
+                let c = self.nl.add_const(format!("__const_{line}"), op == "CONST1");
+                self.mark_foreign(c);
+                self.nl
+                    .add_gate(GateType::Buf, vec![c], out)
+                    .map_err(at_line)?;
             }
             "DFF" => {
                 let mut data = split_args(args);
@@ -188,99 +387,57 @@ pub fn parse_bench(name: &str, src: &str) -> Result<Netlist, ParseError> {
                         text: format!("{lhs} = {op}(...)"),
                     });
                 };
-                let d = names.intern(&mut nl, d);
-                nl.add_dff(d, out).map_err(at_line)?;
+                let d = self.intern(d);
+                self.nl.add_dff(d, out).map_err(at_line)?;
             }
             other => {
-                let gtype: GateType = other.parse().map_err(|_| ParseError::UnknownGate {
+                let gtype = gate_type(other).ok_or_else(|| ParseError::UnknownGate {
                     line,
                     name: other.to_owned(),
                 })?;
-                let inputs: Vec<NetId> =
-                    split_args(args).map(|a| names.intern(&mut nl, a)).collect();
-                nl.add_gate(gtype, inputs, out).map_err(at_line)?;
+                let inputs = split_args(args).map(|a| self.intern(a)).collect();
+                self.nl.add_gate(gtype, inputs, out).map_err(at_line)?;
             }
         }
+        Ok(())
     }
 
-    for (line, name) in outputs {
-        let id = names.lookup(&nl, name).ok_or_else(|| ParseError::Syntax {
-            line,
-            text: format!("OUTPUT({name}) references undefined net"),
-        })?;
-        nl.add_output(id);
+    /// Whether text never resolves to net `id` by its own name.
+    fn is_foreign(&self, id: NetId) -> bool {
+        self.foreign.get(id.index()).copied().unwrap_or(false)
     }
 
-    Ok(nl)
-}
+    fn mark_foreign(&mut self, id: NetId) {
+        if self.foreign.len() <= id.index() {
+            self.foreign.resize(id.index() + 1, false);
+        }
+        self.foreign[id.index()] = true;
+    }
 
-/// One deferred `lhs = OP(args)` statement; `args` is the raw text
-/// between the parentheses (empty for `CONST0`/`CONST1`).
-struct Def<'a> {
-    line: usize,
-    lhs: &'a str,
-    op: &'a str,
-    args: &'a str,
-}
-
-/// The non-empty, trimmed arguments of an argument list.
-fn split_args(args: &str) -> impl Iterator<Item = &str> {
-    args.split(',').map(str::trim).filter(|a| !a.is_empty())
-}
-
-/// Resolves the names written in `.bench` text to nets, on the netlist's
-/// own name store.
-///
-/// A written name means the net first created for it. That net carries
-/// the name itself unless an internal `__const_<line>` net, which text
-/// never resolves to, or a suffixed net already held it; then
-/// [`Netlist::add_net`] gave it the first free `{name}_{i}`, and
-/// `suffixed` maps the written name to it.
-#[derive(Default)]
-struct UserNames<'src> {
-    /// Written names whose net carries a `{name}_{i}` suffix. Empty
-    /// unless names collide.
-    suffixed: HashMap<&'src str, NetId>,
-}
-
-impl<'src> UserNames<'src> {
     /// The net `name` means, if one was created for it.
-    fn lookup(&self, nl: &Netlist, name: &str) -> Option<NetId> {
-        let id = nl.find_net(name)?;
-        if is_internal(nl, id) || self.is_suffixed(nl, id) {
+    fn lookup(&self, name: &str) -> Option<NetId> {
+        let id = self.nl.find_net(name)?;
+        if self.is_foreign(id) {
             return self.suffixed.get(name).copied();
         }
         Some(id)
     }
 
-    /// The net `name` means, created if this is its first use.
-    fn intern(&mut self, nl: &mut Netlist, name: &'src str) -> NetId {
-        if let Some(id) = self.lookup(nl, name) {
+    /// The net `name` means, created if this is its first use. A name
+    /// that no net holds yet is found or stored in one probe.
+    fn intern(&mut self, name: &'src str) -> NetId {
+        let (id, added) = self.nl.net_named(name);
+        if added || !self.is_foreign(id) {
             return id;
         }
-        let id = nl.add_net(name);
-        if nl.net_name(id) != name {
-            self.suffixed.insert(name, id);
+        if let Some(&id) = self.suffixed.get(name) {
+            return id;
         }
+        let id = self.nl.add_net(name);
+        self.mark_foreign(id);
+        self.suffixed.insert(name, id);
         id
     }
-
-    /// Whether `id` was created for another written name: its name is
-    /// `{base}_{i}` and `base` maps to it. `i` has no `_` in it, so the
-    /// last `_` splits off the only candidate base.
-    fn is_suffixed(&self, nl: &Netlist, id: NetId) -> bool {
-        !self.suffixed.is_empty()
-            && nl
-                .net_name(id)
-                .rsplit_once('_')
-                .is_some_and(|(base, _)| self.suffixed.get(base) == Some(&id))
-    }
-}
-
-/// Whether `id` is one of the parser's `__const_<line>` nets: the only
-/// nets it drives with a constant.
-fn is_internal(nl: &Netlist, id: NetId) -> bool {
-    nl.is_driven(id) && matches!(nl.driver(id), Driver::ConstZero | Driver::ConstOne)
 }
 
 /// Serializes a netlist to the `.bench` dialect accepted by
@@ -490,7 +647,12 @@ OUTPUT(y)
             }
             let (op, args) = rhs.split_once('(').ok_or_else(syntax)?;
             let args = args.strip_suffix(')').ok_or_else(syntax)?;
-            let args = split_args(args).map(str::to_owned).collect();
+            let args = args
+                .split(',')
+                .map(str::trim)
+                .filter(|a| !a.is_empty())
+                .map(str::to_owned)
+                .collect();
             defs.push((line, lhs, op.trim().to_owned(), args));
         }
         for (line, lhs, op, args) in defs {
@@ -675,6 +837,19 @@ t = DFF(z)
 
     #[test]
     fn long_suffix_chains_resolve_in_linear_time() {
+        /// Parses `src` under the time bound.
+        fn parse_timed(src: &str) -> Netlist {
+            let start = std::time::Instant::now();
+            let nl = parse_bench("chain", src).unwrap();
+            let elapsed = start.elapsed();
+            assert!(
+                elapsed < std::time::Duration::from_secs(10),
+                "parsing {} lines took {elapsed:?}",
+                src.lines().count()
+            );
+            nl
+        }
+
         // Inputs take `__const_L_1` … `__const_L_n`, the constant on line
         // L = n + 1 takes `__const_L`, so the net every later reference
         // to `__const_L` means sits past the whole chain. Resolving each
@@ -689,18 +864,47 @@ t = DFF(z)
         for j in 0..n {
             let _ = writeln!(src, "w{j} = AND(k, __const_{l})");
         }
-        let start = std::time::Instant::now();
-        let nl = parse_bench("chain", &src).unwrap();
-        let elapsed = start.elapsed();
+        let nl = parse_timed(&src);
         let past = nl.find_net(&format!("__const_{l}_{}", n + 1)).unwrap();
         assert!(!nl.is_driven(past), "a fresh undriven net");
         assert_eq!(nl.gate_count(), n + 1);
         assert!(nl.gates()[1..].iter().all(|g| g.inputs[1] == past));
-        assert!(
-            elapsed < std::time::Duration::from_secs(10),
-            "parsing {} lines took {elapsed:?}",
-            2 * n + 1
-        );
+
+        // 100k names over one 200-byte prefix, each declared and then
+        // read back by a gate: every probe compares long equal prefixes.
+        let prefix = "p".repeat(200);
+        let n = 100_000;
+        let mut src = String::new();
+        for i in 0..n {
+            let _ = writeln!(src, "INPUT({prefix}{i})");
+        }
+        for i in 0..n {
+            let _ = writeln!(src, "w{i} = NOT({prefix}{i})");
+        }
+        let nl = parse_timed(&src);
+        assert_eq!(nl.net_count(), 2 * n);
+        let last = nl.find_net(&format!("{prefix}{}", n - 1)).unwrap();
+        assert_eq!(nl.gates()[n - 1].inputs, [last]);
+
+        // 100k names of one length that differ only in their last
+        // character, whose UTF-8 is the last bytes of the name.
+        let stem = "q".repeat(39);
+        let mut src = String::new();
+        let names: Vec<String> = (0x1_0000..0x1_0000 + n as u32)
+            .map(|c| format!("{stem}{}", char::from_u32(c).unwrap()))
+            .collect();
+        for name in &names {
+            let _ = writeln!(src, "INPUT({name})");
+        }
+        for (i, name) in names.iter().enumerate() {
+            let _ = writeln!(src, "w{i} = BUF({name})");
+        }
+        let nl = parse_timed(&src);
+        assert_eq!(nl.net_count(), 2 * n);
+        assert!(names
+            .iter()
+            .enumerate()
+            .all(|(i, name)| nl.find_net(name) == Some(NetId(i as u32))));
     }
 
     /// SplitMix64: a tiny seeded generator for the parity loop.
@@ -719,9 +923,20 @@ t = DFF(z)
     /// A random `.bench` text over a small name pool that collides with
     /// the internal `__const_<line>` nets and their suffixes; some lines
     /// are malformed or redefine a net, so errors are compared too.
+    ///
+    /// It also holds what a byte scanner can get wrong: CRLF endings and
+    /// a last line without one; ASCII and Unicode whitespace around names
+    /// and operators; `#` after a statement and inside an argument list;
+    /// `=` and `(` inside arguments; empty argument lists and trailing
+    /// commas; `INPUT` after definitions; alias and mixed-case mnemonics;
+    /// and names of 1-40 bytes over one shared prefix.
     fn random_bench(rng: &mut SplitMix) -> String {
+        const WHITESPACE: [&str; 10] = [
+            " ", "\t", "\x0b", "\x0c", "\r", "\u{a0}", "\u{85}", "\u{2028}", "\u{3000}", " \t",
+        ];
+        const PREFIX: &str = "datapath_register_file_bank0_slice_word_";
         let lines = 4 + rng.below(24);
-        let mut pool: Vec<String> = ["a", "b", "x", "x_1", "n", ""]
+        let mut pool: Vec<String> = ["a", "b", "x", "x_1", "n", "", "é", "a=b", "a(b"]
             .iter()
             .map(|s| s.to_string())
             .collect();
@@ -729,65 +944,135 @@ t = DFF(z)
             pool.push(format!("__const_{l}"));
             pool.push(format!("__const_{l}_1"));
         }
+        for len in [1, 7, 8, 9, 15, 16, 17, 39, 40] {
+            pool.push(PREFIX[..len].to_owned());
+        }
+        pool.push(format!("{}b", &PREFIX[..39]));
+        // Mostly nothing, sometimes one or two whitespace runs.
+        let ws = |rng: &mut SplitMix| match rng.below(8) {
+            0 => WHITESPACE[rng.below(WHITESPACE.len())].to_owned(),
+            1 => WHITESPACE[rng.below(WHITESPACE.len())].repeat(2),
+            _ => String::new(),
+        };
+        // Inputs first in half the texts; the rest also declare inputs
+        // after definitions.
+        let inputs_first = rng.below(2) == 0;
+        let crlf = rng.below(4) == 0;
         let mut src = String::new();
         let mut written: Vec<String> = Vec::new();
+        let mut body: Vec<String> = Vec::new();
         for i in 0..lines {
-            let pick = |rng: &mut SplitMix| pool[rng.below(pool.len())].clone();
+            let pick = |rng: &mut SplitMix| {
+                let name = &pool[rng.below(pool.len())];
+                format!("{}{name}{}", ws(rng), ws(rng))
+            };
             // Mostly fresh left-hand sides, so most texts parse.
             let lhs = match rng.below(4) {
                 0 => pick(rng),
-                _ => format!("w{i}"),
+                _ => format!("{}w{i}{}", ws(rng), ws(rng)),
             };
             let (a, b, c) = (pick(rng), pick(rng), pick(rng));
-            let line = match rng.below(40) {
+            let eq = format!("{}={}", ws(rng), ws(rng));
+            let line = match rng.below(48) {
                 0 => "garbage line".to_owned(),
-                1 => format!("{lhs} = FROB({a})"),
+                1 => format!("{lhs}{eq}FROB({a})"),
                 2..=4 => format!("INPUT({a})"),
                 5 | 6 => format!("OUTPUT( {} )", written.last().unwrap_or(&a)),
-                7..=10 => format!("{lhs} = CONST{}", rng.below(2)),
-                11..=13 => format!("{lhs} = DFF({a})"),
-                14..=16 => format!("{lhs} = MUX({a}, {b}, {c})"),
-                17 => format!("{lhs} = not({a})"),
+                7..=10 => format!("{lhs}{eq}CONST{}", rng.below(2)),
+                11..=13 => format!("{lhs}{eq}DFF({a})"),
+                14..=16 => format!("{lhs}{eq}MUX({a}, {b}, {c})"),
+                17 => format!("{lhs}{eq}not({a})"),
                 18 => "# a comment".to_owned(),
-                19..=21 => format!("{lhs} = {}({a})", ["BUFF", "INV", "buf"][rng.below(3)]),
+                19..=21 => {
+                    let op = ["BUFF", "INV", "buf", "Inv", "bUfF", "NOT"][rng.below(6)];
+                    format!("{lhs}{eq}{}{op}{}({a})", ws(rng), ws(rng))
+                }
+                22 => format!("{lhs}{eq}AND({a}, {b}) # trailing comment"),
+                23 => format!("{lhs}{eq}AND({a}, # {b})"),
+                24 => format!("{lhs}{eq}OR()"),
+                25 => format!("{lhs}{eq}XOR({a}, {b},)"),
+                26 => format!("{lhs}{eq}NAND({a},, {b})"),
+                27 => format!("{lhs}{eq}DFF({a},)"),
                 _ => {
-                    let op = ["AND", "or", "NAND", "Nor", "XOR", "XNOR"][rng.below(6)];
+                    let op =
+                        ["AND", "or", "NAND", "Nor", "XOR", "XNOR", "xNoR", "mux"][rng.below(8)];
                     let args: Vec<String> = (0..2 + rng.below(4)).map(|_| pick(rng)).collect();
-                    format!("{lhs} = {op}({})", args.join(", "))
+                    format!("{lhs}{eq}{op}{}({})", ws(rng), args.join(","))
                 }
             };
             written.push(lhs);
-            src.push_str(&line);
-            src.push('\n');
+            body.push(format!("{}{line}{}", ws(rng), ws(rng)));
+        }
+        if inputs_first {
+            // Stable: inputs keep their order, and so does the rest.
+            body.sort_by_key(|l| !l.trim().starts_with("INPUT("));
+        }
+        for (i, line) in body.iter().enumerate() {
+            src.push_str(line);
+            if i + 1 < body.len() || rng.below(4) != 0 {
+                src.push_str(if crlf { "\r\n" } else { "\n" });
+            }
         }
         src
     }
 
     #[test]
     fn name_store_matches_the_reference_parser_on_random_texts() {
+        // Fixed texts first, one per case the random texts mix in.
+        let fixed = [
+            "INPUT(a)\r\nINPUT(b)\r\ny = AND(a, b)\r\nq = DFF(y)\r\nOUTPUT(y)",
+            "INPUT(a)\ny = NOT(a)\r",
+            "\u{3000}INPUT(\u{a0}a\u{85})\u{2028}\ny\x0b=\x0cNOT\t(a)\nOUTPUT(y\u{a0})\n",
+            "INPUT(a)\ny = AND(a, a) # AND(b)\nz = AND(a, # b)\n",
+            "INPUT(a)\ny = AND(a=b, a(c)\n",
+            "INPUT(a)\ny = AND()\n",
+            "INPUT(a)\ny = AND(a, a,)\nq = DFF(y,)\n",
+            "y = AND(a, b)\nINPUT(b)\nINPUT(a)\nOUTPUT(y)\n",
+            "INPUT(a)\ny = Inv(a)\nz = BUFF(y)\nw = xNoR(y, z)\n",
+            "INPUT(é)\n\u{e9}x = NOT(é)\n",
+        ];
         let mut rng = SplitMix(0x5eed);
         let (mut parsed, mut failed, mut suffixed) = (0, 0, 0);
-        for _ in 0..3000 {
-            let src = random_bench(&mut rng);
+        // Parsed texts that declare an input after a definition, and
+        // texts with definitions whose inputs all come first.
+        let (mut late_inputs, mut inputs_first) = (0, 0);
+        let texts = fixed
+            .iter()
+            .map(|t| t.to_string())
+            .chain(std::iter::repeat_with(|| random_bench(&mut rng)).take(6000));
+        for src in texts {
             match (parse_bench("r", &src), reference_parse("r", &src)) {
                 (Ok(got), Ok(want)) => {
-                    assert_eq!(observe(&got), observe(&want), "{src}");
+                    assert_eq!(observe(&got), observe(&want), "{src:?}");
                     parsed += 1;
                     // A written name took a suffix past a name that was
                     // itself a suffix or an internal constant.
                     suffixed += usize::from(names(&got).iter().any(|n| n.ends_with("_1_1")));
+                    let lines: Vec<&str> = src.lines().map(str::trim).collect();
+                    let first_def = lines.iter().position(|l| l.contains('='));
+                    let last_input = lines.iter().rposition(|l| l.starts_with("INPUT("));
+                    match (first_def, last_input) {
+                        (Some(d), Some(i)) if d < i => late_inputs += 1,
+                        (Some(_), _) => inputs_first += 1,
+                        _ => {}
+                    }
                 }
                 (Err(got), Err(want)) => {
-                    assert_eq!(got, want, "{src}");
+                    assert_eq!(got, want, "{src:?}");
                     failed += 1;
                 }
-                (got, want) => panic!("{src}\ngot {got:?}\nwant {want:?}"),
+                (got, want) => panic!("{src:?}\ngot {got:?}\nwant {want:?}"),
             }
         }
-        // Both outcomes, and chained suffixes, are well represented.
+        // Both outcomes, both reading orders, and chained suffixes are
+        // well represented.
         assert!(
-            parsed > 300 && failed > 300,
+            parsed > 600 && failed > 600,
             "{parsed} parsed, {failed} failed"
+        );
+        assert!(
+            late_inputs > 100 && inputs_first > 300,
+            "{late_inputs} parsed with late inputs, {inputs_first} without"
         );
         assert!(suffixed > 30, "{suffixed} texts with chained suffixes");
     }

@@ -352,29 +352,38 @@ fn graceful_shutdown_drains_queued_work() {
     let server = boot(model, 1, 4, None);
     let addr = server.addr();
 
-    let submits: Vec<_> = (0..2)
-        .map(|_| {
-            let bench = bench.clone();
-            std::thread::spawn(move || submit(addr, &bench, &bench_opts()))
-        })
-        .collect();
-
-    // Wait until one job is in flight and the other is queued, reading
-    // the queue depth from `/debug/stats` as the benchmark's sampler
-    // does (falls through after a generous timeout if recovery is
-    // unexpectedly fast — both replies are still asserted below).
-    let queue_depth = || {
+    // Reads one counter from `/debug/stats`, as the benchmark's sampler
+    // does.
+    let stat = |key: &str| {
         let stats = http_request(addr, "GET", "/debug/stats", &[], b"").expect("stats");
         rebert::json::Json::parse(&stats.body_text())
             .expect("stats json")
-            .get("queue_depth")
+            .get(key)
             .and_then(rebert::json::Json::as_u64)
-            .expect("queue_depth")
+            .unwrap_or_else(|| panic!("stats carry `{key}`"))
     };
-    let patience = Instant::now();
-    while queue_depth() < 1 && patience.elapsed() < Duration::from_secs(5) {
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    // Waits until `key` reads at least 1 (falls through after a generous
+    // timeout if recovery is unexpectedly fast — both replies are still
+    // asserted below).
+    let await_stat = |key: &str| {
+        let patience = Instant::now();
+        while stat(key) < 1 && patience.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+    let spawn_submit = || {
+        let bench = bench.clone();
+        std::thread::spawn(move || submit(addr, &bench, &bench_opts()))
+    };
+
+    // One job in flight before the second is sent, then the second
+    // queued behind it: a single job sitting in the queue before the
+    // executor pops it cannot satisfy the wait.
+    let first = spawn_submit();
+    await_stat("inflight");
+    let second = spawn_submit();
+    await_stat("queue_depth");
+    let submits = [first, second];
 
     // Drain: both already-accepted jobs must complete with 200 even
     // though the daemon is shutting down around them.
