@@ -241,24 +241,40 @@ mod tests {
 
     #[test]
     fn training_emits_epoch_spans_with_losses() {
-        use rebert_obs::{Kind, Level, RingSink, Value};
+        use rebert_obs::{Kind, Level, Record, Sink, Value};
         use std::sync::Arc;
 
         let cfg = ReBertConfig::tiny();
         let mut model = ReBertModel::new(cfg.clone(), 2);
-        // 10 samples is unique to this test (the gate is process-global,
-        // so records from concurrently running tests share the ring).
         let samples = toy_samples(&cfg, 5);
         let tcfg = TrainConfig {
             epochs: 2,
             ..TrainConfig::default()
         };
 
-        let ring = Arc::new(RingSink::new(16_384, Level::Trace));
-        let sink = rebert_obs::install(ring.clone());
+        // The dispatcher is process-global, so concurrently running tests
+        // dispatch into this sink too. It keeps only this thread's
+        // records and turns the others away before its lock, so no other
+        // test's record can crowd out or collide with an epoch record. (A
+        // request-id ring would not do: span `End` records carry no
+        // context fields.)
+        struct ThisThread(u64, rebert_sync::Mutex<Vec<Record>>);
+        impl Sink for ThisThread {
+            fn record(&self, rec: &Record) {
+                if rec.thread == self.0 {
+                    self.1.lock().push(rec.clone());
+                }
+            }
+            fn max_level(&self) -> Level {
+                Level::Trace
+            }
+        }
+        let records = rebert_sync::Mutex::new(Vec::new(), "train.tests.records");
+        let kept = Arc::new(ThisThread(rebert_obs::thread_id(), records));
+        let sink = rebert_obs::install(kept.clone());
         let report = train(&mut model, &samples, &tcfg);
-        let records = ring.drain();
         rebert_obs::uninstall(sink);
+        let records = std::mem::take(&mut *kept.1.lock());
 
         let root = records
             .iter()

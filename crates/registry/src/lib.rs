@@ -27,5 +27,5 @@
 mod quota;
 mod registry;
 
-pub use quota::TenantQuotas;
+pub use quota::{TenantQuotas, MAX_TENANTS};
 pub use registry::{ModelRegistry, RegistryConfig, ResidentModel, DEFAULT_MODEL};

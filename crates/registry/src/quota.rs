@@ -13,8 +13,9 @@ use std::time::{Duration, Instant};
 use rebert_sync::Mutex;
 
 /// Most tenants tracked at once; beyond this the stalest bucket is
-/// recycled (an idle bucket is full, so its owner loses nothing).
-const MAX_TENANTS: usize = 1024;
+/// recycled (an idle bucket is full, so its owner loses nothing). The
+/// daemon's per-tenant request counters keep the same bound.
+pub const MAX_TENANTS: usize = 1024;
 
 #[derive(Debug, Clone, Copy)]
 struct Bucket {

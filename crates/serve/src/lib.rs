@@ -17,11 +17,11 @@
 //! | `GET /models`     | Lists resident models: name, version, checkpoint fingerprint, per-backend served counters, score-cache stats. |
 //! | `POST /models/{name}/load` | Body `{"path": "ckpt.rbt"}`. Loads the checkpoint and atomically publishes it under `name`; in-flight requests finish on the old version, which is retired (cache flushed, memory dropped) once its refcount drains. |
 //! | `GET /healthz`    | Liveness probe (`200 ok`). |
-//! | `GET /metrics`    | Prometheus text exposition: request counters, queue depth, in-flight gauge, per-phase timing histograms, pairs/sec, cone-dedup counters, `rebert_model_info` per resident model, per-tenant request counters. |
+//! | `GET /metrics`    | Prometheus text exposition of the [`metrics`] table: request counters, queue depth and capacity, in-flight gauge, per-phase and per-endpoint timing histograms with p50/p95/p99 gauges, pairs/sec, cone-dedup and score-cache counters, trace-ring counts, one info series per resident model, per-tenant request counters. |
 //! | `POST /shutdown`  | Requests a graceful drain (also triggered by SIGINT/SIGTERM). |
 //! | `GET /debug/trace`| Drains the in-memory trace ring as NDJSON: a meta line (`drained`, `dropped_events`) followed by one span/event record per line. `?request_id=<id>` narrows the output to one request's records. |
-//! | `GET /debug/stats`| One JSON snapshot of the operator numbers: queue depth/capacity, inflight, cache hit rate, per-phase and per-endpoint latency quantiles (p50/p95/p99), per-backend pairs/sec, resident models. |
-//! | `GET /`           | With [`ServeConfig::web`] (`rebert serve --web`): the embedded single-file dashboard — live stat tiles, a per-request phase waterfall fed by `/recover/stream`, and a recovered-word bit heatmap. No build step, no external assets. |
+//! | `GET /debug/stats`| The `/metrics` families as JSON, keyed by name without `rebert_`: a number per unlabelled family, an array of series per labelled one, and each histogram series as its count and p50/p95/p99. |
+//! | `GET /`           | With [`ServeConfig::web`] (`rebert serve --web`): the embedded single-file dashboard — a live tile per unlabelled family and a table per labelled one from `/debug/stats`, a per-request phase waterfall fed by `/recover/stream`, and a recovered-word bit heatmap. No build step, no external assets. |
 //!
 //! ## Semantics
 //!
@@ -52,7 +52,9 @@
 //! * **Tenant quotas** — with [`ServeConfig::tenant_quota`] set, each
 //!   tenant (`X-Rebert-Tenant`, default `anonymous`) draws from its own
 //!   token bucket; exhausted buckets get `429` with `Retry-After`, and
-//!   per-tenant outcomes surface as `rebert_tenant_requests_total`.
+//!   per-tenant outcomes are counted in `/metrics`. Past
+//!   [`rebert_registry::MAX_TENANTS`] tenants, further ones share one
+//!   `_overflow` series, as the quota's own buckets are bounded.
 //! * **Request correlation** — every response (including malformed-request
 //!   `400`s) carries an `X-Rebert-Request-Id` header (a client-supplied
 //!   id is echoed back, also on 4xx/5xx); the same id rides
@@ -64,9 +66,10 @@
 //! * **One telemetry plane** — each `POST /recover/stream` reply
 //!   installs its own [`rebert_obs::RingSink::for_request`] ring on the
 //!   obs dispatcher while it runs, so every progress record is delivered
-//!   or counted. `/metrics` and `/debug/stats` are both rendered in
-//!   [`metrics`] from the daemon's counters plus one snapshot per
-//!   scrape, read from the queue, the trace ring and the registry.
+//!   or counted. `/metrics` and `/debug/stats` render one table of
+//!   metric families in [`metrics`], from the daemon's counters plus
+//!   one snapshot per scrape, read from the queue, the trace ring and
+//!   the registry.
 //!
 //! ```no_run
 //! use std::sync::Arc;

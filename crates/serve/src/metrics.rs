@@ -1,11 +1,26 @@
-//! Daemon telemetry: the `GET /metrics` Prometheus text and the
-//! `GET /debug/stats` JSON are both rendered here.
+//! Daemon telemetry: one table of metric families, rendered as the
+//! `GET /metrics` Prometheus text and as the `GET /debug/stats` JSON.
 //!
 //! [`Metrics`] holds only what the daemon counts itself, in atomics
 //! plus one short mutex per labelled map, so recording never contends
-//! with the scoring threads. Numbers another part owns (queue depth,
-//! trace-ring counts, each resident's identity and score cache) are
-//! read from their owners into one `Snapshot` per scrape.
+//! with the scoring threads. Numbers another part owns (queue depth and
+//! capacity, trace-ring counts, each resident's identity and score
+//! cache) are read from their owners into one `Snapshot` per scrape.
+//!
+//! `Metrics::families` is the table. It is the only place a family's
+//! name, kind, help text, label names and value source are written, and
+//! it lists the families in exposition order. The two renderers know
+//! nothing of any one family:
+//!
+//! * `/metrics` writes each family that has a series, with a
+//!   `<name>_quantile` gauge family of [`QUANTILES`] after each
+//!   histogram. Label values are escaped (`\`, `"`, newline), and a
+//!   label whose value is empty is left out.
+//! * `/debug/stats` is one JSON object keyed by the family names
+//!   without `rebert_`. An unlabelled family is a number; a labelled
+//!   one is an array of `{<labels>…, "value"}` objects (`[]` with no
+//!   series); a histogram's series is `{<labels>…, "count", "p50",
+//!   "p95", "p99"}`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -15,17 +30,26 @@ use std::time::Duration;
 
 use rebert::json::Json;
 use rebert::{Backend, PipelineStats};
-use rebert_registry::{ModelRegistry, ResidentModel};
+use rebert_registry::{ModelRegistry, ResidentModel, MAX_TENANTS};
 use rebert_sync::Mutex;
 
 /// Histogram bucket upper bounds, in seconds. Spans sub-millisecond
 /// grouping up to multi-second scoring runs; `+Inf` is implicit.
 pub const BUCKETS: [f64; 9] = [0.001, 0.005, 0.02, 0.1, 0.25, 1.0, 2.5, 10.0, 60.0];
 
-/// The quantiles every histogram exports as companion gauges:
-/// `(q, label)` pairs, rendered with a `quantile` label like a
-/// Prometheus summary.
-pub const QUANTILES: [(f64, &str); 3] = [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")];
+/// The quantiles every histogram exports: `(q, label, key)`, where
+/// `label` is the `quantile` label of the `/metrics` companion gauge
+/// (as in a Prometheus summary) and `key` the `/debug/stats` field.
+pub const QUANTILES: [(f64, &str, &str); 3] = [
+    (0.5, "0.5", "p50"),
+    (0.95, "0.95", "p95"),
+    (0.99, "0.99", "p99"),
+];
+
+/// The tenant label that every tenant past the first [`MAX_TENANTS`]
+/// is counted under, so the header cannot grow the exposition without
+/// bound.
+const OVERFLOW_TENANT: &str = "_overflow";
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -129,7 +153,7 @@ impl Histogram {
 
     /// Renders the [`QUANTILES`] companion gauges for this histogram.
     fn render_quantiles(&self, out: &mut String, name: &str, labels: &str) {
-        for (q, label) in QUANTILES {
+        for (q, label, _) in QUANTILES {
             let _ = writeln!(
                 out,
                 "{name}_quantile{{{labels}quantile=\"{label}\"}} {}",
@@ -189,10 +213,10 @@ pub struct Metrics {
     pub cache_hits_total: Counter,
     /// Cumulative score-cache misses across recoveries.
     pub cache_misses_total: Counter,
-    /// `(tenant, outcome)` → finished-request count, exported as
-    /// `rebert_tenant_requests_total`. Only populated when quotas are
-    /// on (otherwise tenants are not distinguished).
-    tenants: Mutex<BTreeMap<(String, &'static str), u64>>,
+    /// tenant → outcome → finished-request count, holding at most
+    /// [`MAX_TENANTS`] tenants plus the overflow label. Only populated
+    /// when quotas are on (otherwise tenants are not distinguished).
+    tenants: Mutex<BTreeMap<String, BTreeMap<&'static str, u64>>>,
     /// Requests refused with 429 because a tenant ran out of tokens.
     pub throttled_total: Counter,
     /// Netlists processed through `POST /batch` archives.
@@ -208,10 +232,9 @@ pub struct Metrics {
     /// bits until that backend has completed a recovery).
     backend_pairs_per_sec: [AtomicU64; Backend::ALL.len()],
     /// Per-phase recovery timing histograms, indexed like [`PHASES`].
-    phase: [Histogram; PHASES.len()],
-    /// `(endpoint, model)` → wall-clock request-duration histogram,
-    /// exported as `rebert_request_duration_seconds`. The model label
-    /// is empty for endpoints where no model is involved.
+    phase: [Arc<Histogram>; PHASES.len()],
+    /// `(endpoint, model)` → wall-clock request-duration histogram. The
+    /// model is empty for endpoints where no model is involved.
     durations: Mutex<BTreeMap<(&'static str, String), Arc<Histogram>>>,
 }
 
@@ -243,8 +266,6 @@ pub(crate) struct Resident {
     pub version: u64,
     /// Hex checkpoint fingerprint.
     pub fingerprint: String,
-    /// Completed recoveries it served.
-    pub served_total: u64,
     /// Entries in its score cache (all three cache figures are 0 when
     /// caching is off).
     pub cache_entries: u64,
@@ -264,7 +285,6 @@ impl Snapshot {
                 name: r.name().to_owned(),
                 version: r.version(),
                 fingerprint: r.fingerprint_hex().to_owned(),
-                served_total: r.served_total(),
                 cache_entries: cache.map_or(0, |c| c.len() as u64),
                 cache_bytes: cache.map_or(0, |c| c.bytes() as u64),
                 cache_evictions: cache.map_or(0, |c| c.evictions()),
@@ -287,6 +307,112 @@ impl Snapshot {
                 v + r.cache_evictions,
             )
         })
+    }
+}
+
+/// A family's Prometheus type.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Counter,
+    Gauge,
+    /// A histogram, followed in `/metrics` by a `<name>_quantile` gauge
+    /// family with this help text.
+    Histogram(&'static str),
+}
+
+/// One sample's value.
+#[derive(Debug)]
+enum Value {
+    Int(u64),
+    Float(f64),
+    Histogram(Arc<Histogram>),
+}
+
+impl Value {
+    /// The `/debug/stats` form: a number, or a histogram's count and
+    /// [`QUANTILES`] as an object.
+    fn to_json(&self) -> Json {
+        match self {
+            Value::Int(v) => Json::uint(*v),
+            Value::Float(v) => Json::num(*v),
+            Value::Histogram(h) => {
+                let mut fields = vec![("count".to_owned(), Json::uint(h.count()))];
+                for (q, _, key) in QUANTILES {
+                    fields.push((key.to_owned(), Json::num(h.quantile(q))));
+                }
+                Json::Obj(fields)
+            }
+        }
+    }
+}
+
+/// One series: its label values, in the family's label order, and its
+/// value.
+#[derive(Debug)]
+struct Series {
+    labels: Vec<String>,
+    value: Value,
+}
+
+/// One row of the metric table.
+#[derive(Debug)]
+struct Family {
+    name: &'static str,
+    kind: Kind,
+    help: &'static str,
+    labels: &'static [&'static str],
+    series: Vec<Series>,
+}
+
+impl Family {
+    /// A labelled family; `series` may be empty.
+    fn new(
+        name: &'static str,
+        kind: Kind,
+        labels: &'static [&'static str],
+        series: Vec<Series>,
+        help: &'static str,
+    ) -> Family {
+        Family {
+            name,
+            kind,
+            help,
+            labels,
+            series,
+        }
+    }
+
+    /// An unlabelled family: exactly one series.
+    fn one(name: &'static str, kind: Kind, value: Value, help: &'static str) -> Family {
+        let series = vec![Series {
+            labels: Vec::new(),
+            value,
+        }];
+        Family::new(name, kind, &[], series, help)
+    }
+
+    /// `(label, value)` for each of `s`'s labels whose value is not
+    /// empty.
+    fn labels_of<'a>(&self, s: &'a Series) -> impl Iterator<Item = (&'static str, &'a str)> {
+        let names: &'static [&'static str] = self.labels;
+        names
+            .iter()
+            .copied()
+            .zip(s.labels.iter().map(String::as_str))
+            .filter(|(_, v)| !v.is_empty())
+    }
+
+    /// `s`'s labels in exposition form, each followed by a comma.
+    fn exposition_labels(&self, s: &Series) -> String {
+        let mut out = String::new();
+        for (name, v) in self.labels_of(s) {
+            let v = v
+                .replace('\\', "\\\\")
+                .replace('"', "\\\"")
+                .replace('\n', "\\n");
+            let _ = write!(out, "{name}=\"{v}\",");
+        }
+        out
     }
 }
 
@@ -367,40 +493,29 @@ impl Metrics {
     }
 
     /// Counts one finished request against `(tenant, outcome)`. Only
-    /// called when tenant quotas are enabled.
+    /// called when tenant quotas are enabled. Once [`MAX_TENANTS`]
+    /// tenants have been counted, every further tenant is counted under
+    /// the one label `_overflow`, the bound the quotas keep for their
+    /// own buckets.
     pub fn count_tenant(&self, tenant: &str, outcome: &'static str) {
-        *self
-            .tenants
-            .lock()
-            .entry((tenant.to_owned(), outcome))
+        let mut tenants = self.tenants.lock();
+        let tenant = if tenants.len() < MAX_TENANTS || tenants.contains_key(tenant) {
+            tenant
+        } else {
+            OVERFLOW_TENANT
+        };
+        *tenants
+            .entry(tenant.to_owned())
+            .or_default()
+            .entry(outcome)
             .or_insert(0) += 1;
     }
 
     /// The count recorded for `(tenant, outcome)`.
     pub fn tenant_count(&self, tenant: &str, outcome: &str) -> u64 {
-        self.tenants
-            .lock()
-            .iter()
-            .filter(|((t, o), _)| t == tenant && *o == outcome)
-            .map(|(_, v)| *v)
-            .sum()
-    }
-
-    /// Completed recoveries recorded for `backend`.
-    pub fn backend_request_count(&self, backend: Backend) -> u64 {
-        self.backend_requests[backend.index()].get()
-    }
-
-    /// Most recent scoring throughput recorded for `backend` (0.0 until
-    /// that backend completes a recovery).
-    pub fn backend_pairs_per_sec(&self, backend: Backend) -> f64 {
-        f64::from_bits(self.backend_pairs_per_sec[backend.index()].load(Ordering::Relaxed))
-    }
-
-    /// Scoring throughput of the most recent completed recovery
-    /// (pairs/sec; `0.0` until one completes).
-    pub fn last_pairs_per_sec(&self) -> f64 {
-        f64::from_bits(self.last_pairs_per_sec.load(Ordering::Relaxed))
+        let tenants = self.tenants.lock();
+        let outcomes = tenants.get(tenant);
+        outcomes.and_then(|o| o.get(outcome)).copied().unwrap_or(0)
     }
 
     /// Records one finished request's wall-clock duration against its
@@ -422,343 +537,180 @@ impl Metrics {
         histogram.observe(d);
     }
 
-    /// Renders these metrics and `snap` in the Prometheus text
-    /// exposition format: the `GET /metrics` body.
-    pub(crate) fn render(&self, snap: &Snapshot) -> String {
+    /// The metric table: every family in exposition order, with its
+    /// series read from these metrics and `snap`. Laid out one family
+    /// per row: name, kind, labels and value source, then help text.
+    #[rustfmt::skip]
+    fn families(&self, snap: &Snapshot) -> Vec<Family> {
         let (cache_entries, cache_bytes, cache_evictions) = snap.cache_totals();
+        let int = |counter: &Counter| Value::Int(counter.get());
+        let float = |bits: &AtomicU64| Value::Float(f64::from_bits(bits.load(Ordering::Relaxed)));
+        let series = |labels: Vec<String>, value| Series { labels, value };
+        let per_backend = |value: &dyn Fn(usize) -> Value| -> Vec<Series> {
+            let each = Backend::ALL.iter();
+            each.map(|b| series(vec![b.label().into()], value(b.index()))).collect()
+        };
+        // Each lock is taken and released in its own statement: no two
+        // are ever held together.
+        let requests = self.requests.lock().iter()
+            .map(|(&(e, o), &n)| series(vec![e.into(), o.into()], Value::Int(n)))
+            .collect();
+        let tenants = self.tenants.lock().iter()
+            .flat_map(|(tenant, outcomes)| outcomes.iter()
+                .map(|(&o, &n)| series(vec![tenant.clone(), o.into()], Value::Int(n))))
+            .collect();
+        let durations = self.durations.lock().iter()
+            .map(|((e, model), h)| {
+                series(vec![(*e).into(), model.clone()], Value::Histogram(h.clone()))
+            })
+            .collect();
+        let residents = snap.residents.iter()
+            .map(|r| {
+                let labels = vec![r.name.clone(), r.version.to_string(), r.fingerprint.clone()];
+                series(labels, Value::Int(1))
+            })
+            .collect();
+        let phases = PHASES.iter().zip(&self.phase)
+            .map(|(phase, h)| series(vec![(*phase).into()], Value::Histogram(h.clone())))
+            .collect();
+        vec![
+            Family::new("rebert_requests_total", Kind::Counter, &["endpoint", "outcome"], requests,
+                "Finished HTTP requests by endpoint and outcome."),
+            Family::one("rebert_queue_depth", Kind::Gauge, Value::Int(snap.queue_depth),
+                "Jobs waiting in the bounded queue."),
+            Family::one("rebert_queue_capacity", Kind::Gauge, Value::Int(snap.queue_capacity),
+                "Jobs the queue holds before new submissions get 503."),
+            Family::one("rebert_inflight", Kind::Gauge, Value::Int(self.inflight.get()),
+                "Recoveries executing right now."),
+            Family::one("rebert_rejected_total", Kind::Counter, int(&self.rejected_total),
+                "Jobs refused with 503 (queue full or shutting down)."),
+            Family::one("rebert_deadline_exceeded_total", Kind::Counter, int(&self.deadline_total),
+                "Jobs aborted by their deadline (504)."),
+            Family::one("rebert_throttled_total", Kind::Counter, int(&self.throttled_total),
+                "Requests refused with 429 by the per-tenant quota."),
+            Family::one("rebert_batch_netlists_total", Kind::Counter,
+                int(&self.batch_netlists_total),
+                "Netlists processed through POST /batch archives."),
+            Family::one("rebert_pairs_scored_total", Kind::Counter, int(&self.pairs_scored_total),
+                "Cumulative bit pairs scored, memoized broadcasts included."),
+            Family::one("rebert_class_pairs_scored_total", Kind::Counter,
+                int(&self.class_pairs_scored_total),
+                "Cumulative unique class-pair model calls."),
+            Family::one("rebert_pairs_memoized_total", Kind::Counter,
+                int(&self.pairs_memoized_total),
+                "Cumulative bit pairs served from the class-pair memo."),
+            Family::one("rebert_cone_classes_total", Kind::Counter, int(&self.classes_total),
+                "Cumulative cone classes across recoveries."),
+            Family::one("rebert_cache_hits_total", Kind::Counter, int(&self.cache_hits_total),
+                "Cumulative class-pair scores served from the score cache."),
+            Family::one("rebert_cache_misses_total", Kind::Counter, int(&self.cache_misses_total),
+                "Cumulative class-pair scores computed and inserted into the score cache."),
+            Family::one("rebert_cache_evictions_total", Kind::Counter, Value::Int(cache_evictions),
+                "Score-cache entries evicted to stay within the byte budget."),
+            Family::one("rebert_cache_bytes", Kind::Gauge, Value::Int(cache_bytes),
+                "Bytes resident in the score cache."),
+            Family::one("rebert_cache_entries", Kind::Gauge, Value::Int(cache_entries),
+                "Entries resident in the score cache."),
+            Family::one("rebert_trace_dropped_total", Kind::Counter, Value::Int(snap.trace_dropped),
+                "Trace-ring records lost to overflow eviction or write contention."),
+            Family::one("rebert_trace_buffered", Kind::Gauge, Value::Int(snap.trace_buffered),
+                "Records buffered in the daemon's trace ring."),
+            Family::new("rebert_model_info", Kind::Gauge, &["name", "version", "fingerprint"],
+                residents, "Identity of each resident checkpoint (value is always 1)."),
+            Family::new("rebert_tenant_requests_total", Kind::Counter, &["tenant", "outcome"],
+                tenants, "Finished requests by tenant and outcome (quota mode only)."),
+            Family::one("rebert_pairs_per_sec", Kind::Gauge, float(&self.last_pairs_per_sec),
+                "Scoring throughput of the most recent recovery."),
+            Family::new("rebert_backend_requests_total", Kind::Counter, &["backend"],
+                per_backend(&|i| int(&self.backend_requests[i])),
+                "Completed recoveries by resolved inference backend."),
+            Family::new("rebert_backend_pairs_per_sec", Kind::Gauge, &["backend"],
+                per_backend(&|i| float(&self.backend_pairs_per_sec[i])),
+                "Most recent scoring throughput by resolved inference backend."),
+            Family::new("rebert_phase_seconds", Kind::Histogram(
+                "Estimated phase-duration quantiles, interpolated from the histogram buckets."),
+                &["phase"], phases,
+                "Recovery pipeline phase durations."),
+            Family::new("rebert_request_duration_seconds", Kind::Histogram(
+                "Estimated request-duration quantiles, interpolated from the histogram buckets."),
+                &["endpoint", "model"], durations,
+                "Wall-clock request duration by endpoint (and model where one is involved)."),
+        ]
+    }
+
+    /// The `GET /metrics` body: every family of the table that has a
+    /// series, in the Prometheus text exposition format.
+    pub(crate) fn render(&self, snap: &Snapshot) -> String {
         let mut out = String::with_capacity(4096);
-
-        out.push_str("# HELP rebert_requests_total Finished HTTP requests by endpoint and outcome.\n# TYPE rebert_requests_total counter\n");
-        for ((endpoint, outcome), count) in self.requests.lock().iter() {
+        for f in self.families(snap).iter().filter(|f| !f.series.is_empty()) {
+            let type_name = match f.kind {
+                Kind::Counter => "counter",
+                Kind::Gauge => "gauge",
+                Kind::Histogram(_) => "histogram",
+            };
             let _ = writeln!(
                 out,
-                "rebert_requests_total{{endpoint=\"{endpoint}\",outcome=\"{outcome}\"}} {count}"
+                "# HELP {0} {1}\n# TYPE {0} {type_name}",
+                f.name, f.help
             );
-        }
-
-        let gauges_and_counters: [(&str, &str, &str, u64); 16] = [
-            (
-                "rebert_queue_depth",
-                "gauge",
-                "Jobs waiting in the bounded queue.",
-                snap.queue_depth,
-            ),
-            (
-                "rebert_inflight",
-                "gauge",
-                "Recoveries executing right now.",
-                self.inflight.get(),
-            ),
-            (
-                "rebert_rejected_total",
-                "counter",
-                "Jobs refused with 503 (queue full or shutting down).",
-                self.rejected_total.get(),
-            ),
-            (
-                "rebert_deadline_exceeded_total",
-                "counter",
-                "Jobs aborted by their deadline (504).",
-                self.deadline_total.get(),
-            ),
-            (
-                "rebert_throttled_total",
-                "counter",
-                "Requests refused with 429 by the per-tenant quota.",
-                self.throttled_total.get(),
-            ),
-            (
-                "rebert_batch_netlists_total",
-                "counter",
-                "Netlists processed through POST /batch archives.",
-                self.batch_netlists_total.get(),
-            ),
-            (
-                "rebert_pairs_scored_total",
-                "counter",
-                "Cumulative bit pairs scored, memoized broadcasts included.",
-                self.pairs_scored_total.get(),
-            ),
-            (
-                "rebert_class_pairs_scored_total",
-                "counter",
-                "Cumulative unique class-pair model calls.",
-                self.class_pairs_scored_total.get(),
-            ),
-            (
-                "rebert_pairs_memoized_total",
-                "counter",
-                "Cumulative bit pairs served from the class-pair memo.",
-                self.pairs_memoized_total.get(),
-            ),
-            (
-                "rebert_cone_classes_total",
-                "counter",
-                "Cumulative cone classes across recoveries.",
-                self.classes_total.get(),
-            ),
-            (
-                "rebert_cache_hits_total",
-                "counter",
-                "Cumulative class-pair scores served from the score cache.",
-                self.cache_hits_total.get(),
-            ),
-            (
-                "rebert_cache_misses_total",
-                "counter",
-                "Cumulative class-pair scores computed and inserted into the score cache.",
-                self.cache_misses_total.get(),
-            ),
-            (
-                "rebert_cache_evictions_total",
-                "counter",
-                "Score-cache entries evicted to stay within the byte budget.",
-                cache_evictions,
-            ),
-            (
-                "rebert_cache_bytes",
-                "gauge",
-                "Bytes resident in the score cache.",
-                cache_bytes,
-            ),
-            (
-                "rebert_cache_entries",
-                "gauge",
-                "Entries resident in the score cache.",
-                cache_entries,
-            ),
-            (
-                "rebert_trace_dropped_total",
-                "counter",
-                "Trace-ring records lost to overflow eviction or write contention.",
-                snap.trace_dropped,
-            ),
-        ];
-        for (name, kind, help, value) in gauges_and_counters {
-            let _ = writeln!(
-                out,
-                "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}"
-            );
-        }
-
-        if !snap.residents.is_empty() {
-            out.push_str("# HELP rebert_model_info Identity of each resident checkpoint (value is always 1).\n# TYPE rebert_model_info gauge\n");
-            for r in &snap.residents {
+            for s in &f.series {
+                let labels = f.exposition_labels(s);
+                let braces = match labels.trim_end_matches(',') {
+                    "" => String::new(),
+                    trimmed => format!("{{{trimmed}}}"),
+                };
+                match &s.value {
+                    Value::Int(v) => {
+                        let _ = writeln!(out, "{}{braces} {v}", f.name);
+                    }
+                    Value::Float(v) => {
+                        let _ = writeln!(out, "{}{braces} {v}", f.name);
+                    }
+                    Value::Histogram(h) => h.render(&mut out, f.name, &labels),
+                }
+            }
+            if let Kind::Histogram(quantile_help) = f.kind {
                 let _ = writeln!(
                     out,
-                    "rebert_model_info{{name=\"{}\",version=\"{}\",fingerprint=\"{}\"}} 1",
-                    r.name, r.version, r.fingerprint
+                    "# HELP {0}_quantile {quantile_help}\n# TYPE {0}_quantile gauge",
+                    f.name
                 );
-            }
-        }
-
-        {
-            let tenants = self.tenants.lock();
-            if !tenants.is_empty() {
-                out.push_str("# HELP rebert_tenant_requests_total Finished requests by tenant and outcome (quota mode only).\n# TYPE rebert_tenant_requests_total counter\n");
-                for ((tenant, outcome), count) in tenants.iter() {
-                    let _ = writeln!(
-                        out,
-                        "rebert_tenant_requests_total{{tenant=\"{tenant}\",outcome=\"{outcome}\"}} {count}"
-                    );
-                }
-            }
-        }
-
-        let pps = f64::from_bits(self.last_pairs_per_sec.load(Ordering::Relaxed));
-        let _ = writeln!(
-            out,
-            "# HELP rebert_pairs_per_sec Scoring throughput of the most recent recovery.\n# TYPE rebert_pairs_per_sec gauge\nrebert_pairs_per_sec {pps}"
-        );
-
-        out.push_str("# HELP rebert_backend_requests_total Completed recoveries by resolved inference backend.\n# TYPE rebert_backend_requests_total counter\n");
-        for backend in Backend::ALL {
-            let _ = writeln!(
-                out,
-                "rebert_backend_requests_total{{backend=\"{}\"}} {}",
-                backend.label(),
-                self.backend_request_count(backend)
-            );
-        }
-        out.push_str("# HELP rebert_backend_pairs_per_sec Most recent scoring throughput by resolved inference backend.\n# TYPE rebert_backend_pairs_per_sec gauge\n");
-        for backend in Backend::ALL {
-            let _ = writeln!(
-                out,
-                "rebert_backend_pairs_per_sec{{backend=\"{}\"}} {}",
-                backend.label(),
-                self.backend_pairs_per_sec(backend)
-            );
-        }
-
-        out.push_str("# HELP rebert_phase_seconds Recovery pipeline phase durations.\n# TYPE rebert_phase_seconds histogram\n");
-        for (phase, h) in PHASES.iter().zip(&self.phase) {
-            h.render(
-                &mut out,
-                "rebert_phase_seconds",
-                &format!("phase=\"{phase}\","),
-            );
-        }
-        out.push_str("# HELP rebert_phase_seconds_quantile Estimated phase-duration quantiles, interpolated from the histogram buckets.\n# TYPE rebert_phase_seconds_quantile gauge\n");
-        for (phase, h) in PHASES.iter().zip(&self.phase) {
-            h.render_quantiles(
-                &mut out,
-                "rebert_phase_seconds",
-                &format!("phase=\"{phase}\","),
-            );
-        }
-
-        {
-            let durations = self.durations.lock();
-            if !durations.is_empty() {
-                out.push_str("# HELP rebert_request_duration_seconds Wall-clock request duration by endpoint (and model where one is involved).\n# TYPE rebert_request_duration_seconds histogram\n");
-                for ((endpoint, model), h) in durations.iter() {
-                    h.render(
-                        &mut out,
-                        "rebert_request_duration_seconds",
-                        &duration_labels(endpoint, model),
-                    );
-                }
-                out.push_str("# HELP rebert_request_duration_seconds_quantile Estimated request-duration quantiles, interpolated from the histogram buckets.\n# TYPE rebert_request_duration_seconds_quantile gauge\n");
-                for ((endpoint, model), h) in durations.iter() {
-                    h.render_quantiles(
-                        &mut out,
-                        "rebert_request_duration_seconds",
-                        &duration_labels(endpoint, model),
-                    );
+                for s in &f.series {
+                    if let Value::Histogram(h) = &s.value {
+                        h.render_quantiles(&mut out, f.name, &f.exposition_labels(s));
+                    }
                 }
             }
         }
         out
     }
 
-    /// The `GET /debug/stats` body: one JSON object of the numbers an
-    /// operator watches — queue, cache, latency quantiles, per-backend
-    /// and per-model throughput — from these metrics and `snap`. It is
-    /// the dashboard's data feed; [`Metrics::render`] exports the same
-    /// numbers.
+    /// The `GET /debug/stats` body, the dashboard's data feed: every
+    /// family of the table as JSON (see the module docs).
     pub(crate) fn debug_stats(&self, snap: &Snapshot) -> Json {
-        let (cache_entries, cache_bytes, cache_evictions) = snap.cache_totals();
-        let hits = self.cache_hits_total.get();
-        let misses = self.cache_misses_total.get();
-        let lookups = hits + misses;
-        let hit_rate = if lookups == 0 {
-            0.0
-        } else {
-            hits as f64 / lookups as f64
+        let family = |f: Family| {
+            let value = match (f.labels, f.series.as_slice()) {
+                ([], [only]) => only.value.to_json(),
+                _ => Json::Arr(
+                    f.series
+                        .iter()
+                        .map(|s| {
+                            let mut fields: Vec<_> = f
+                                .labels_of(s)
+                                .map(|(k, v)| (k.to_owned(), Json::str(v)))
+                                .collect();
+                            match s.value.to_json() {
+                                Json::Obj(summary) => fields.extend(summary),
+                                value => fields.push(("value".to_owned(), value)),
+                            }
+                            Json::Obj(fields)
+                        })
+                        .collect(),
+                ),
+            };
+            (f.name.trim_start_matches("rebert_").to_owned(), value)
         };
-        let cache = Json::Obj(vec![
-            ("hits".into(), Json::uint(hits)),
-            ("misses".into(), Json::uint(misses)),
-            ("hit_rate".into(), Json::num(hit_rate)),
-            ("entries".into(), Json::uint(cache_entries)),
-            ("bytes".into(), Json::uint(cache_bytes)),
-            ("evictions".into(), Json::uint(cache_evictions)),
-        ]);
-        let trace = Json::Obj(vec![
-            ("buffered".into(), Json::uint(snap.trace_buffered)),
-            ("dropped".into(), Json::uint(snap.trace_dropped)),
-        ]);
-        let phases = Json::Arr(
-            PHASES
-                .iter()
-                .zip(&self.phase)
-                .map(|(phase, h)| {
-                    let mut fields = vec![("phase".to_owned(), Json::str(*phase))];
-                    fields.extend(summary_fields(h));
-                    Json::Obj(fields)
-                })
-                .collect(),
-        );
-        let endpoints = Json::Arr(
-            self.durations
-                .lock()
-                .iter()
-                .map(|((endpoint, model), h)| {
-                    let mut fields = vec![("endpoint".to_owned(), Json::str(*endpoint))];
-                    if !model.is_empty() {
-                        fields.push(("model".to_owned(), Json::str(model)));
-                    }
-                    fields.extend(summary_fields(h));
-                    Json::Obj(fields)
-                })
-                .collect(),
-        );
-        let backends = Json::Arr(
-            Backend::ALL
-                .iter()
-                .map(|&b| {
-                    Json::Obj(vec![
-                        ("backend".into(), Json::str(b.label())),
-                        ("requests".into(), Json::uint(self.backend_request_count(b))),
-                        (
-                            "pairs_per_sec".into(),
-                            Json::num(self.backend_pairs_per_sec(b)),
-                        ),
-                    ])
-                })
-                .collect(),
-        );
-        let models = Json::Arr(
-            snap.residents
-                .iter()
-                .map(|r| {
-                    Json::Obj(vec![
-                        ("name".into(), Json::str(&r.name)),
-                        ("version".into(), Json::uint(r.version)),
-                        ("fingerprint".into(), Json::str(&r.fingerprint)),
-                        ("served_total".into(), Json::uint(r.served_total)),
-                    ])
-                })
-                .collect(),
-        );
-        Json::Obj(vec![
-            ("queue_depth".into(), Json::uint(snap.queue_depth)),
-            ("queue_capacity".into(), Json::uint(snap.queue_capacity)),
-            ("inflight".into(), Json::uint(self.inflight.get())),
-            (
-                "pairs_scored_total".into(),
-                Json::uint(self.pairs_scored_total.get()),
-            ),
-            ("pairs_per_sec".into(), Json::num(self.last_pairs_per_sec())),
-            (
-                "rejected_total".into(),
-                Json::uint(self.rejected_total.get()),
-            ),
-            (
-                "deadline_total".into(),
-                Json::uint(self.deadline_total.get()),
-            ),
-            (
-                "throttled_total".into(),
-                Json::uint(self.throttled_total.get()),
-            ),
-            ("cache".into(), cache),
-            ("trace".into(), trace),
-            ("phases".into(), phases),
-            ("endpoints".into(), endpoints),
-            ("backends".into(), backends),
-            ("models".into(), models),
-        ])
-    }
-}
-
-/// A histogram's observation count and `p50`/`p95`/`p99` (the
-/// [`QUANTILES`]), as `/debug/stats` fields.
-fn summary_fields(h: &Histogram) -> Vec<(String, Json)> {
-    let mut fields = vec![("count".to_owned(), Json::uint(h.count()))];
-    for ((q, _), key) in QUANTILES.iter().zip(["p50", "p95", "p99"]) {
-        fields.push((key.to_owned(), Json::num(h.quantile(*q))));
-    }
-    fields
-}
-
-/// Label prefix for one `(endpoint, model)` duration series; the model
-/// label is omitted when empty.
-fn duration_labels(endpoint: &str, model: &str) -> String {
-    if model.is_empty() {
-        format!("endpoint=\"{endpoint}\",")
-    } else {
-        format!("endpoint=\"{endpoint}\",model=\"{model}\",")
+        Json::Obj(self.families(snap).into_iter().map(family).collect())
     }
 }
 
@@ -845,46 +797,22 @@ mod tests {
         let m = Metrics::new();
         m.count_request("recover", "ok");
         m.record_recovery(&sample_stats());
-        let text = m.render(&Snapshot::default());
-        for family in [
-            "rebert_requests_total",
-            "rebert_queue_depth",
-            "rebert_inflight",
-            "rebert_rejected_total",
-            "rebert_deadline_exceeded_total",
-            "rebert_pairs_scored_total",
-            "rebert_class_pairs_scored_total",
-            "rebert_pairs_memoized_total",
-            "rebert_cone_classes_total",
-            "rebert_pairs_per_sec",
-            "rebert_phase_seconds",
-            "rebert_cache_hits_total",
-            "rebert_cache_misses_total",
-            "rebert_cache_evictions_total",
-            "rebert_cache_bytes",
-            "rebert_cache_entries",
-        ] {
+        let snap = Snapshot::default();
+        let text = m.render(&snap);
+        for family in m.families(&snap).iter().filter(|f| !f.series.is_empty()) {
+            let name = family.name;
             assert!(
-                text.contains(&format!("# HELP {family} ")),
-                "missing HELP for {family}"
+                text.contains(&format!("# HELP {name} {}\n", family.help)),
+                "missing HELP for {name}"
             );
             assert!(
-                text.contains(&format!("# TYPE {family} ")),
-                "missing TYPE for {family}"
+                text.contains(&format!("# TYPE {name} ")),
+                "missing TYPE for {name}"
             );
         }
         assert!(text.contains("rebert_phase_seconds_bucket{phase=\"score\",le=\"+Inf\"} 1"));
         assert!(text.contains("rebert_phase_seconds_count{phase=\"total\"} 1"));
         assert!(text.contains("rebert_pairs_per_sec 123.5"));
-        for family in [
-            "rebert_backend_requests_total",
-            "rebert_backend_pairs_per_sec",
-        ] {
-            assert!(
-                text.contains(&format!("# HELP {family} ")),
-                "missing HELP for {family}"
-            );
-        }
         assert!(text.contains("rebert_backend_requests_total{backend=\"f32-scalar\"} 1"));
         assert!(text.contains("rebert_backend_requests_total{backend=\"int8\"} 0"));
         assert!(text.contains("rebert_backend_pairs_per_sec{backend=\"f32-scalar\"} 123.5"));
@@ -1021,7 +949,7 @@ mod tests {
                 "missing HELP/TYPE for {family}"
             );
         }
-        for (_, q) in QUANTILES {
+        for (_, q, _) in QUANTILES {
             assert!(
                 text.contains(&format!(
                     "rebert_phase_seconds_quantile{{phase=\"score\",quantile=\"{q}\"}}"
@@ -1044,7 +972,7 @@ mod tests {
         let endpoints = |m: &Metrics| {
             let stats = m.debug_stats(&Snapshot::default());
             stats
-                .get("endpoints")
+                .get("request_duration_seconds")
                 .map(Json::to_string)
                 .unwrap_or_default()
         };
@@ -1136,7 +1064,6 @@ mod tests {
                     name: "aux".into(),
                     version: 3,
                     fingerprint: "00000000000000aa".into(),
-                    served_total: 4,
                     cache_entries: 3,
                     cache_bytes: 96,
                     cache_evictions: 1,
@@ -1145,7 +1072,6 @@ mod tests {
                     name: "default".into(),
                     version: 2,
                     fingerprint: "00000000000000bb".into(),
-                    served_total: 9,
                     cache_entries: 10,
                     cache_bytes: 320,
                     cache_evictions: 4,
@@ -1167,22 +1093,137 @@ mod tests {
         );
     }
 
-    /// `/debug/stats` reads the same script and snapshot as `/metrics`.
+    /// One exposition sample: name, unescaped labels in order, value.
+    type Sample = (String, Vec<(String, String)>, f64);
+
+    /// Parses every sample line of an exposition, unescaping label
+    /// values (`\\`, `\"`, `\n`). Panics on a line a Prometheus scrape
+    /// would reject: a bad escape, an unclosed value, a missing value.
+    fn samples(text: &str) -> Vec<Sample> {
+        let parse = |line: &str| {
+            let (series, value) = line.rsplit_once(' ').expect("sample has a value");
+            let value: f64 = value.parse().expect("numeric sample value");
+            let Some((name, body)) = series.split_once('{') else {
+                return (series.to_owned(), Vec::new(), value);
+            };
+            let (mut labels, mut chars) = (Vec::new(), body.chars());
+            loop {
+                let key: String = chars.by_ref().take_while(|&c| c != '=').collect();
+                assert_eq!(chars.next(), Some('"'), "`{key}` opens a value: {line}");
+                let mut v = String::new();
+                loop {
+                    match chars.next().expect("label value closes") {
+                        '"' => break,
+                        '\\' => v.push(match chars.next() {
+                            Some('n') => '\n',
+                            Some(c @ ('\\' | '"')) => c,
+                            other => panic!("bad escape {other:?}: {line}"),
+                        }),
+                        c => v.push(c),
+                    }
+                }
+                labels.push((key, v));
+                match chars.next() {
+                    Some(',') => continue,
+                    Some('}') => break,
+                    other => panic!("expected `,` or `}}`, got {other:?}: {line}"),
+                }
+            }
+            (name.to_owned(), labels, value)
+        };
+        text.lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(parse)
+            .collect()
+    }
+
+    /// `/debug/stats` is the exposition as JSON. Over the scripted
+    /// metrics: each family but the quantile companions is a key, in
+    /// exposition order; each unlabelled sample and labelled series value
+    /// is the JSON's; each histogram series' `count` is its `_count`
+    /// sample and its `p50`/`p95`/`p99` its `_quantile` gauges.
     #[test]
-    fn scripted_debug_stats_read_the_same_snapshot() {
+    fn debug_stats_is_the_exposition_as_json() {
         let (m, snap) = scripted();
+        let text = m.render(&snap);
         let stats = m.debug_stats(&snap);
-        let at = |key: &str| stats.get(key).map(Json::to_string).unwrap_or_default();
-        assert_eq!(
-            (at("queue_depth"), at("queue_capacity")),
-            ("2".into(), "32".into())
-        );
-        assert_eq!(at("trace"), r#"{"buffered":5,"dropped":1}"#);
-        assert!(at("cache").ends_with(r#""entries":13,"bytes":416,"evictions":5}"#));
-        assert_eq!(
-            at("models"),
-            r#"[{"name":"aux","version":3,"fingerprint":"00000000000000aa","served_total":4},{"name":"default","version":2,"fingerprint":"00000000000000bb","served_total":9}]"#
-        );
+        let types: Vec<(&str, &str)> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE rebert_")?.split_once(' '))
+            .collect();
+        let families: Vec<&str> = types
+            .iter()
+            .map(|&(name, _)| name)
+            .filter(|name| !name.ends_with("_quantile"))
+            .collect();
+        let Json::Obj(keys) = &stats else {
+            panic!("one object: {stats}")
+        };
+        let keys: Vec<&str> = keys.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, families);
+        let histograms: Vec<&str> = types
+            .iter()
+            .filter(|&&(_, kind)| kind == "histogram")
+            .map(|&(name, _)| name)
+            .collect();
+        // The JSON series of `key` whose labels (its string fields) are
+        // exactly `labels`.
+        let series = |key: &str, labels: &[(String, String)]| {
+            let all = stats.get(key).and_then(Json::as_array).expect("an array");
+            let labels_of = |s: &Json| match s {
+                Json::Obj(fields) => fields
+                    .iter()
+                    .filter_map(|(k, v)| Some((k.clone(), v.as_str()?.to_owned())))
+                    .collect::<Vec<_>>(),
+                _ => panic!("a series is an object: {s}"),
+            };
+            let found = all.iter().find(|s| labels_of(s) == labels);
+            found.unwrap_or_else(|| panic!("{key} has no series {labels:?}"))
+        };
+        let number = |json: Option<&Json>| json.and_then(Json::as_f64);
+        let mut series_count = BTreeMap::<String, usize>::new();
+        for (name, labels, value) in samples(&text) {
+            let name = name.strip_prefix("rebert_").expect("rebert_ prefix");
+            let histogram = histograms
+                .iter()
+                .find(|h| name.strip_prefix(**h).is_some_and(|s| s.starts_with('_')));
+            let (key, field) = match histogram {
+                Some(h) => (*h, &name[h.len()..]),
+                None => (name, ""),
+            };
+            match field {
+                "_bucket" | "_sum" => continue,
+                "_quantile" => {
+                    let (quantile, labels) = labels.split_last().expect("quantile label");
+                    let (_, _, p) = QUANTILES
+                        .iter()
+                        .find(|(_, label, _)| *label == quantile.1)
+                        .expect("a known quantile");
+                    assert_eq!(number(series(key, labels).get(p)), Some(value), "{name}");
+                    continue;
+                }
+                "_count" => {
+                    assert_eq!(number(series(key, &labels).get("count")), Some(value));
+                }
+                "" if labels.is_empty() => {
+                    assert_eq!(number(stats.get(key)), Some(value), "{name}");
+                    continue;
+                }
+                "" => {
+                    assert_eq!(number(series(key, &labels).get("value")), Some(value));
+                }
+                other => panic!("unexpected histogram sample suffix {other}"),
+            }
+            *series_count.entry(key.to_owned()).or_default() += 1;
+        }
+        for (key, n) in series_count {
+            let all = stats.get(&key).and_then(Json::as_array).expect("an array");
+            assert_eq!(
+                all.len(),
+                n,
+                "{key} has one JSON series per exposition series"
+            );
+        }
     }
 
     #[test]
@@ -1194,11 +1235,79 @@ mod tests {
         stats.pairs_per_sec = 500.0;
         m.record_recovery(&stats);
         m.record_recovery(&stats);
-        assert_eq!(m.backend_request_count(Backend::F32Scalar), 1);
-        assert_eq!(m.backend_request_count(Backend::Int8), 2);
-        assert_eq!(m.backend_request_count(Backend::F32Simd), 0);
-        assert_eq!(m.backend_pairs_per_sec(Backend::F32Scalar), 123.5);
-        assert_eq!(m.backend_pairs_per_sec(Backend::Int8), 500.0);
-        assert_eq!(m.backend_pairs_per_sec(Backend::F32Simd), 0.0);
+        let samples = samples(&m.render(&Snapshot::default()));
+        let value = |family: &str, backend: Backend| {
+            let labels = [("backend".to_owned(), backend.label().to_owned())];
+            let found = samples.iter().find(|(n, l, _)| n == family && *l == labels);
+            found.map(|&(.., v)| v)
+        };
+        let requests = |b| value("rebert_backend_requests_total", b);
+        assert_eq!(requests(Backend::F32Scalar), Some(1.0));
+        assert_eq!(requests(Backend::Int8), Some(2.0));
+        assert_eq!(requests(Backend::F32Simd), Some(0.0));
+        let pairs_per_sec = |b| value("rebert_backend_pairs_per_sec", b);
+        assert_eq!(pairs_per_sec(Backend::F32Scalar), Some(123.5));
+        assert_eq!(pairs_per_sec(Backend::Int8), Some(500.0));
+        assert_eq!(pairs_per_sec(Backend::F32Simd), Some(0.0));
+    }
+
+    /// A tenant is a request header, so its label value is escaped:
+    /// each series parses back to exactly the tenant and outcome
+    /// counted, with no label repeated. `/debug/stats` carries the raw
+    /// string, which JSON's own escaping round-trips.
+    #[test]
+    fn tenant_label_values_are_escaped() {
+        let tenants = ["acme\",outcome=\"ok", "back\\slash", "two\nlines"];
+        let m = Metrics::new();
+        for tenant in tenants {
+            m.count_tenant(tenant, "ok");
+        }
+        let expected: Vec<Vec<(String, String)>> = tenants
+            .iter()
+            .map(|t| {
+                vec![
+                    ("tenant".into(), (*t).into()),
+                    ("outcome".into(), "ok".into()),
+                ]
+            })
+            .collect();
+        let parsed: Vec<_> = samples(&m.render(&Snapshot::default()))
+            .into_iter()
+            .filter(|(name, ..)| name == "rebert_tenant_requests_total")
+            .map(|(_, labels, _)| labels)
+            .collect();
+        assert_eq!(parsed, expected);
+        let json = m.debug_stats(&Snapshot::default()).to_string();
+        let stats = Json::parse(&json).expect("valid JSON");
+        let series = stats.get("tenant_requests_total").and_then(Json::as_array);
+        let raw: Vec<&str> = series
+            .expect("an array")
+            .iter()
+            .filter_map(|s| s.get("tenant")?.as_str())
+            .collect();
+        assert_eq!(raw, tenants);
+    }
+
+    /// Past `MAX_TENANTS` distinct tenants, new ones share one series,
+    /// as the quotas share a bounded bucket map: 1,500 tenants leave
+    /// `MAX_TENANTS + 1` series, not 1,500.
+    #[test]
+    fn tenant_series_are_bounded() {
+        let m = Metrics::new();
+        let total = 1_500;
+        for i in 0..total {
+            m.count_tenant(&format!("tenant-{i}"), "ok");
+        }
+        let series = samples(&m.render(&Snapshot::default()))
+            .into_iter()
+            .filter(|(name, ..)| name == "rebert_tenant_requests_total")
+            .count();
+        assert_eq!(series, MAX_TENANTS + 1);
+        let overflow = (total - MAX_TENANTS) as u64;
+        assert_eq!(m.tenant_count(OVERFLOW_TENANT, "ok"), overflow);
+        // A tenant counted before the bound keeps its own series.
+        m.count_tenant("tenant-0", "throttled");
+        assert_eq!(m.tenant_count("tenant-0", "throttled"), 1);
+        assert_eq!(m.tenant_count(OVERFLOW_TENANT, "ok"), overflow);
     }
 }

@@ -3,9 +3,11 @@
 //!
 //! Deliberately dependency-free — no framework, no bundler, no CDN
 //! fetch — so `rebert serve --web` works on an air-gapped bench
-//! machine. The page polls `GET /debug/stats` for the tiles and tables,
-//! and drives `POST /recover/stream` for the live phase waterfall and
-//! the recovered-word bit heatmap.
+//! machine. The page polls `GET /debug/stats` and draws whatever metric
+//! families it returns, knowing none of them by name: a tile for each
+//! unlabelled family and a table for each labelled one. It drives
+//! `POST /recover/stream` for the live phase waterfall and the
+//! recovered-word bit heatmap.
 
 /// The whole dashboard, inlined at compile time.
 pub const DASHBOARD_HTML: &str = r##"<!doctype html>
@@ -37,7 +39,7 @@ pub const DASHBOARD_HTML: &str = r##"<!doctype html>
           border-radius: 6px; padding: 10px 12px; }
   .tile .v { font-size: 22px; font-weight: 600; }
   .tile .k { color: var(--dim); font-size: 11px; margin-top: 2px; }
-  table { border-collapse: collapse; width: 100%;
+  table { border-collapse: collapse; width: 100%; margin-bottom: 14px;
           background: var(--panel); border: 1px solid var(--edge);
           border-radius: 6px; overflow: hidden; }
   th, td { text-align: left; padding: 5px 10px; font-size: 12px;
@@ -96,20 +98,7 @@ pub const DASHBOARD_HTML: &str = r##"<!doctype html>
     <h2>Daemon</h2>
     <div class="tiles" id="tiles"></div>
   </section>
-  <section>
-    <h2>Latency quantiles (seconds)</h2>
-    <table id="phases"><thead><tr>
-      <th>phase</th><th class="num">count</th>
-      <th class="num">p50</th><th class="num">p95</th><th class="num">p99</th>
-    </tr></thead><tbody></tbody></table>
-  </section>
-  <section>
-    <h2>Endpoints</h2>
-    <table id="endpoints"><thead><tr>
-      <th>endpoint</th><th>model</th><th class="num">count</th>
-      <th class="num">p50</th><th class="num">p95</th><th class="num">p99</th>
-    </tr></thead><tbody></tbody></table>
-  </section>
+  <section id="families"></section>
   <section>
     <h2>Watch a recovery</h2>
     <textarea id="netlist" spellcheck="false"
@@ -127,12 +116,21 @@ pub const DASHBOARD_HTML: &str = r##"<!doctype html>
 const $ = (s) => document.querySelector(s);
 const fmt = (v) => v >= 1e6 ? (v / 1e6).toFixed(1) + "M"
   : v >= 1e3 ? (v / 1e3).toFixed(1) + "k" : String(v);
-const secs = (v) => v >= 1 ? v.toFixed(2) + "s"
-  : v >= 1e-3 ? (v * 1e3).toFixed(1) + "ms" : (v * 1e6).toFixed(0) + "µs";
+// Label values come from request headers: escape before drawing.
+const esc = (v) => String(v).replace(/[&<>"]/g, (c) => "&#" + c.charCodeAt(0) + ";");
+const num = (v) => typeof v !== "number" ? esc(v)
+  : v >= 1e3 || Number.isInteger(v) ? fmt(v) : String(+v.toPrecision(3));
+const cell = (v) => (typeof v === "number" ? '<td class="num">' : "<td>") + num(v) + "</td>";
 
-function tile(value, label) {
-  return '<div class="tile"><div class="v">' + value +
-    '</div><div class="k">' + label + "</div></div>";
+// One table per labelled family: a column per key any series carries.
+function table(key, rows) {
+  const cols = [...new Set(rows.flatMap(Object.keys))];
+  return "<h2>" + esc(key) + "</h2>" + (rows.length
+    ? "<table><thead><tr>" + cols.map((c) => "<th>" + esc(c) + "</th>").join("") +
+      "</tr></thead><tbody>" + rows.map((r) => "<tr>" +
+        cols.map((c) => c in r ? cell(r[c]) : "<td></td>").join("") + "</tr>").join("") +
+      "</tbody></table>"
+    : '<p class="muted">no series yet</p>');
 }
 
 async function poll() {
@@ -141,28 +139,14 @@ async function poll() {
     const s = await r.json();
     $("#conn").textContent = "live";
     $("#conn").className = "sub";
-    const hitPct = (s.cache.hit_rate * 100).toFixed(1) + "%";
-    $("#tiles").innerHTML =
-      tile(s.queue_depth + "/" + s.queue_capacity, "queue") +
-      tile(String(s.inflight), "inflight") +
-      tile(fmt(s.pairs_scored_total), "pairs scored") +
-      tile(fmt(Math.round(s.pairs_per_sec)), "pairs/sec") +
-      tile(hitPct, "cache hit rate") +
-      tile(fmt(s.cache.entries), "cache entries") +
-      tile(String(s.deadline_total), "deadlines") +
-      tile(String(s.rejected_total), "rejected") +
-      tile(String(s.trace.dropped), "trace drops");
-    $("#phases tbody").innerHTML = s.phases.map((p) =>
-      "<tr><td>" + p.phase + '</td><td class="num">' + p.count +
-      '</td><td class="num">' + secs(p.p50) +
-      '</td><td class="num">' + secs(p.p95) +
-      '</td><td class="num">' + secs(p.p99) + "</td></tr>").join("");
-    $("#endpoints tbody").innerHTML = s.endpoints.map((e) =>
-      "<tr><td>" + e.endpoint + '</td><td class="muted">' + (e.model || "—") +
-      '</td><td class="num">' + e.count +
-      '</td><td class="num">' + secs(e.p50) +
-      '</td><td class="num">' + secs(e.p95) +
-      '</td><td class="num">' + secs(e.p99) + "</td></tr>").join("");
+    let tiles = "", tables = "";
+    for (const [key, v] of Object.entries(s)) {
+      if (Array.isArray(v)) tables += table(key, v);
+      else tiles += '<div class="tile"><div class="v">' + num(v) +
+        '</div><div class="k">' + esc(key) + "</div></div>";
+    }
+    $("#tiles").innerHTML = tiles;
+    $("#families").innerHTML = tables;
   } catch (err) {
     $("#conn").textContent = "unreachable";
     $("#conn").className = "sub err";
@@ -298,7 +282,7 @@ $("#go").addEventListener("click", async () => {
       $("#result").textContent = "recovered " + final.words.length +
         " words from " + final.bits + " bits in " +
         (st.elapsed_us / 1000).toFixed(1) + "ms (" + st.backend + ", " +
-        fmt(Math.round(st.pairs_per_sec)) + " pairs/sec)";
+        fmt(st.pairs_scored) + " pairs scored)";
       drawHeatmap(final);
       $("#scorebar > div").style.width = "100%";
     }
@@ -316,6 +300,8 @@ $("#go").addEventListener("click", async () => {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{Metrics, Snapshot};
+    use rebert::json::Json;
 
     #[test]
     fn dashboard_is_self_contained() {
@@ -331,5 +317,17 @@ mod tests {
         // And it talks to the two live endpoints it documents.
         assert!(DASHBOARD_HTML.contains("/debug/stats"));
         assert!(DASHBOARD_HTML.contains("/recover/stream"));
+        // It draws whatever families `/debug/stats` returns, so it
+        // spells none of their keys.
+        let stats = Metrics::new().debug_stats(&Snapshot::default());
+        let Json::Obj(families) = stats else {
+            panic!("`/debug/stats` is one object: {stats}")
+        };
+        for (key, _) in &families {
+            assert!(
+                !DASHBOARD_HTML.contains(key.as_str()),
+                "dashboard spells the metric key `{key}`"
+            );
+        }
     }
 }

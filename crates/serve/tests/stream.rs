@@ -237,14 +237,17 @@ fn debug_stats_snapshot_has_queue_cache_and_quantiles() {
     let json = Json::parse(&stats.body_text()).expect("stats json");
     assert_eq!(json_field(&json, "queue_capacity").as_usize(), Some(4));
     assert!(json_field(&json, "queue_depth").as_u64().is_some());
-    let cache = json_field(&json, "cache");
-    assert!(json_field(cache, "hit_rate").as_f64().unwrap() >= 0.0);
-    let phases = json_field(&json, "phases").as_array().unwrap();
-    assert!(!phases.is_empty(), "phase quantiles after one recovery");
+    assert!(json_field(&json, "cache_hits_total").as_u64().is_some());
+    assert!(json_field(&json, "cache_misses_total").as_u64().unwrap() >= 1);
+    let phases = json_field(&json, "phase_seconds").as_array().unwrap();
+    assert_eq!(phases.len(), 5, "one series per phase");
     for p in phases {
+        assert_eq!(json_field(p, "count").as_u64(), Some(1), "one recovery");
         assert!(json_field(p, "p50").as_f64().unwrap() <= json_field(p, "p99").as_f64().unwrap());
     }
-    let endpoints = json_field(&json, "endpoints").as_array().unwrap();
+    let endpoints = json_field(&json, "request_duration_seconds")
+        .as_array()
+        .unwrap();
     assert!(
         endpoints
             .iter()
@@ -270,8 +273,8 @@ fn shape(json: &Json) -> Json {
 
 /// A live `/debug/stats` reply after one recovery and one scrape keeps
 /// the key tree and value types of `tests/fixtures/debug_stats_shape.json`,
-/// which was captured from the same script before the reply was built
-/// from a per-scrape snapshot.
+/// which was captured from the same script: the `/metrics` families as
+/// JSON, in exposition order.
 #[test]
 fn debug_stats_key_tree_matches_the_fixture() {
     let c = generate(&Profile::new("stats", 120, 12, 3), 7);
